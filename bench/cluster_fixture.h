@@ -19,8 +19,8 @@
 namespace vde::bench {
 
 // 3 nodes x 9 NVMe OSDs, 3x replication, 4 MiB objects, 4 KiB encryption
-// sectors — the paper's defaults. Network/OSD constants calibrated per
-// DESIGN.md §5.
+// sectors — the paper's defaults, with the calibrated network/OSD
+// constants.
 inline rados::ClusterConfig PaperCluster() {
   rados::ClusterConfig config;
   config.nodes = 3;

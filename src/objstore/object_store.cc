@@ -9,30 +9,20 @@ namespace vde::objstore {
 
 namespace {
 
-// Journal record: full transaction serialization (metadata + payload). The
-// journal append is the commit point; its size drives the commit cost.
-Bytes SerializeTxn(const Transaction& txn, const SnapContext& snapc) {
-  Bytes out;
-  AppendU32Le(out, static_cast<uint32_t>(txn.oid.size()));
-  AppendBytes(out, BytesOf(txn.oid));
-  AppendU64Le(out, snapc.seq);
-  AppendU32Le(out, static_cast<uint32_t>(txn.ops.size()));
+// Journal record size: the oid, the snap seq and, per op, its header,
+// payload and omap kvs — what a full serialization of `txn` would occupy.
+// Only the size is journaled: it alone drives the commit cost.
+uint64_t TxnRecordSize(const Transaction& txn) {
+  uint64_t n = 4 + txn.oid.size() + 8 + 4;
   for (const auto& op : txn.ops) {
-    AppendU8(out, static_cast<uint8_t>(op.type));
-    AppendU64Le(out, op.offset);
-    AppendU64Le(out, op.length);
-    AppendU32Le(out, static_cast<uint32_t>(op.data.size()));
-    AppendBytes(out, op.data);
-    AppendU32Le(out, static_cast<uint32_t>(op.omap_kvs.size()));
-    for (const auto& [k, v] : op.omap_kvs) {
-      AppendU16Le(out, static_cast<uint16_t>(k.size()));
-      AppendBytes(out, k);
-      AppendU32Le(out, static_cast<uint32_t>(v.size()));
-      AppendBytes(out, v);
-    }
+    n += 1 + 8 + 8 + 4 + op.data.size() + 4;
+    for (const auto& [k, v] : op.omap_kvs) n += 2 + k.size() + 4 + v.size();
   }
-  return out;
+  return n;
 }
+
+// Journal frame header: crc u32, len u32, generation u64 (kv::Wal's frame).
+constexpr uint64_t kJournalFrameHeader = 16;
 
 bool IsWriteClass(OsdOp::Type t) {
   switch (t) {
@@ -71,10 +61,6 @@ sim::Task<Status> ObjectStore::Init() {
   kv_base_ = config_.journal_size;
   data_base_ = kv_base_ + config_.kv_region_size;
   if (data_base_ >= cap) co_return Status::InvalidArgument("device too small");
-
-  journal_region_ =
-      std::make_unique<dev::RegionDevice>(*device_, 0, config_.journal_size);
-  journal_ = std::make_unique<kv::Wal>(*journal_region_, 1);
 
   kv_region_ = std::make_unique<dev::RegionDevice>(*device_, kv_base_,
                                                    config_.kv_region_size);
@@ -221,6 +207,23 @@ sim::Task<void> ObjectStore::ChargeExtent(std::shared_ptr<ObjectStore> self,
   self->appliers_.Done();
 }
 
+sim::Task<Status> ObjectStore::AppendJournal(uint64_t record) {
+  // The frame's sector run is rewritten in one device write (the dirty tail
+  // sector plus newly filled ones). The offset advances only after the
+  // write, so appends in flight together start from the same offset and
+  // the modelled journal fills slower than journal_bytes says; reserving
+  // the frame up front would fix that but moves the sim clock.
+  const uint64_t start = journal_off_;
+  const uint64_t end = start + kJournalFrameHeader + record;
+  if (end > config_.journal_size) co_return Status::OutOfSpace("journal full");
+  const uint32_t sector = device_->sector_size();
+  const uint64_t first = start / sector * sector;
+  const uint64_t last = (end + sector - 1) / sector * sector;
+  VDE_CO_RETURN_IF_ERROR(co_await device_->ChargeWrite(first, last - first));
+  journal_off_ = end;
+  co_return Status::Ok();
+}
+
 sim::Task<void> ObjectStore::Drain() {
   co_await appliers_.Wait();
 }
@@ -310,20 +313,20 @@ sim::Task<Status> ObjectStore::Apply(const Transaction& txn,
   // 1. Commit point: journal the whole transaction. Journaling pipelines
   // across transactions (like the OSD's journal/WAL stage); only the apply
   // stage below is ordered per object.
-  const Bytes record = SerializeTxn(txn, snapc);
+  const uint64_t record = TxnRecordSize(txn);
   obs::SpanScope journal_span(txn.trace, obs::Stage::kDevice);
-  Status js = co_await journal_->Append(record);
+  Status js = co_await AppendJournal(record);
   if (js.code() == StatusCode::kOutOfSpace) {
     // Checkpoint: applied state is durable by construction once the
     // background charges drain, so the journal can restart.
     co_await Drain();
-    journal_->Reset(journal_->generation() + 1);
-    js = co_await journal_->Append(record);
+    journal_off_ = 0;
+    js = co_await AppendJournal(record);
   }
   journal_span.End();
   VDE_CO_RETURN_IF_ERROR(js);
   stats_.transactions++;
-  stats_.journal_bytes += record.size();
+  stats_.journal_bytes += record;
 
   // Pipelined apply (core model on): the prepare stage — payload staging
   // penalties for sub-sector and unaligned ops — runs BEFORE the
@@ -417,7 +420,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
   const uint64_t obj_shard = sim::ShardOf(txn.oid);
   const bool pipelined = sched.core_model_enabled();
   for (const auto& op : txn.ops) {
-    // Software cost of the data-op apply path (sync, per DESIGN.md §5).
+    // Software cost of the data-op apply path (sync).
     if (op.type == OsdOp::Type::kWrite || op.type == OsdOp::Type::kWriteFull ||
         op.type == OsdOp::Type::kZero || op.type == OsdOp::Type::kTrim) {
       const uint64_t len =

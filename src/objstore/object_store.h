@@ -4,7 +4,10 @@
 //
 // Commit protocol (models Ceph's WAL-then-apply):
 //   1. The whole transaction (metadata + payload) is appended to the journal
-//      — ONE contiguous device write; this is the commit point.
+//      — ONE contiguous device write; this is the commit point. The journal
+//      is cost-only: the append is charged from the record's size and the
+//      record bytes are never built or stored, because nothing replays
+//      them (the KV store's WAL is the one replayed log).
 //   2. State becomes visible immediately (data plane is RAM); OMAP mutations
 //      go through the LSM store synchronously (they ARE the OMAP cost).
 //   3. A background applier charges the final-location device IO, including
@@ -14,7 +17,7 @@
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
 // AND its OMAP rows (random IVs stored via OMAP must remain readable for
 // old snapshots; object-end IVs travel with the data for free — see
-// DESIGN.md for why that asymmetry matters).
+// "The per-block record and its three geometries" in docs/ARCHITECTURE.md).
 #pragma once
 
 #include <map>
@@ -26,14 +29,13 @@
 #include "device/nvme.h"
 #include "device/region.h"
 #include "kv/db.h"
-#include "kv/wal.h"
 #include "objstore/types.h"
 #include "sim/sync.h"
 #include "util/interval_map.h"
 
 namespace vde::objstore {
 
-// Store-side software cost model (calibration constants, DESIGN.md §5).
+// Store-side software cost model (calibration constants).
 // One named struct consumed by both the apply path and the bench fixtures
 // — the constants used to live loose in StoreConfig.
 //
@@ -202,6 +204,9 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
                                                   SnapId snap);
   sim::Task<Status> MaybeClone(const std::string& oid, Onode& node,
                                const SnapContext& snapc);
+  // Charges the journal append of a `record`-byte transaction record;
+  // OutOfSpace when the frame does not fit behind the append offset.
+  sim::Task<Status> AppendJournal(uint64_t record);
   // Static + shared self: the spawned frame owns a reference to the store
   // (and transitively the device), decoupling background charges from the
   // caller's lifetime.
@@ -216,9 +221,8 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
   StoreConfig config_;
   uint64_t kv_base_ = 0;
   uint64_t data_base_ = 0;
-  std::unique_ptr<dev::RegionDevice> journal_region_;
+  uint64_t journal_off_ = 0;  // journal append offset (device-absolute)
   std::unique_ptr<dev::RegionDevice> kv_region_;
-  std::unique_ptr<kv::Wal> journal_;
   std::unique_ptr<kv::KvStore> kv_;
   std::unique_ptr<dev::ExtentAllocator> alloc_;
   std::map<std::string, Onode> objects_;

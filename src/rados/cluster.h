@@ -42,7 +42,7 @@ class Metrics;
 namespace vde::rados {
 
 // Software costs of the OSD op pipeline (queue, decode, PG lock, commit
-// bookkeeping). Values are calibration constants — see DESIGN.md §5.
+// bookkeeping). Values are calibration constants.
 struct OsdCostModel {
   sim::SimTime read_op = 420 * sim::kUs;
   sim::SimTime write_op = 340 * sim::kUs;

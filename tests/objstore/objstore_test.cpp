@@ -549,5 +549,185 @@ TEST(ObjectStoreTrim, TamperedDataBypassesTrimBookkeeping) {
   });
 }
 
+// --- Cost-only journal: identical charges, no stored bytes ---
+
+// The serialized journal record the store once built and stored for every
+// transaction, kept verbatim as the size reference for the cost-only
+// journal: its byte count must equal what the store now charges.
+Bytes ReferenceJournalRecord(const Transaction& txn, const SnapContext& snapc) {
+  Bytes out;
+  AppendU32Le(out, static_cast<uint32_t>(txn.oid.size()));
+  AppendBytes(out, BytesOf(txn.oid));
+  AppendU64Le(out, snapc.seq);
+  AppendU32Le(out, static_cast<uint32_t>(txn.ops.size()));
+  for (const auto& op : txn.ops) {
+    AppendU8(out, static_cast<uint8_t>(op.type));
+    AppendU64Le(out, op.offset);
+    AppendU64Le(out, op.length);
+    AppendU32Le(out, static_cast<uint32_t>(op.data.size()));
+    AppendBytes(out, op.data);
+    AppendU32Le(out, static_cast<uint32_t>(op.omap_kvs.size()));
+    for (const auto& [k, v] : op.omap_kvs) {
+      AppendU16Le(out, static_cast<uint16_t>(k.size()));
+      AppendBytes(out, k);
+      AppendU32Le(out, static_cast<uint32_t>(v.size()));
+      AppendBytes(out, v);
+    }
+  }
+  return out;
+}
+
+OsdOp DataOp(OsdOp::Type type, uint64_t off, uint64_t len, Bytes data = {}) {
+  OsdOp op;
+  op.type = type;
+  op.offset = off;
+  op.length = len;
+  op.data = std::move(data);
+  return op;
+}
+
+OsdOp OmapSetOp(Rng& rng, size_t keys) {
+  OsdOp op;
+  op.type = OsdOp::Type::kOmapSet;
+  for (size_t i = 0; i < keys; ++i) {
+    op.omap_kvs.emplace_back(rng.RandomBytes(8), rng.RandomBytes(16 + 13 * i));
+  }
+  return op;
+}
+
+// A fixed mix of every journaled op shape: aligned/unaligned/sub-sector
+// writes, writefull, zero, trim, an OMAP batch, and multi-op transactions
+// (data + object-end IV write + OMAP rows in one).
+std::vector<Transaction> JournalMix() {
+  Rng rng(21);
+  std::vector<Transaction> mix;
+  mix.push_back(WriteTxn("a", 0, rng.RandomBytes(4096)));
+  mix.push_back(WriteTxn("a", 100, rng.RandomBytes(5000)));
+  mix.push_back(WriteTxn("a", 8192, rng.RandomBytes(300)));
+  Transaction full;
+  full.oid = "b";
+  full.ops.push_back(
+      DataOp(OsdOp::Type::kWriteFull, 0, 0, rng.RandomBytes(64 * 1024)));
+  mix.push_back(std::move(full));
+  Transaction zero;
+  zero.oid = "a";
+  zero.ops.push_back(DataOp(OsdOp::Type::kZero, 4096, 4096));
+  mix.push_back(std::move(zero));
+  mix.push_back(TrimTxn("b", 8192, 16384));
+  Transaction omap;
+  omap.oid = "c";
+  omap.ops.push_back(OmapSetOp(rng, 5));
+  mix.push_back(std::move(omap));
+  Transaction multi;
+  multi.oid = "d";
+  multi.ops.push_back(
+      DataOp(OsdOp::Type::kWrite, 0, 128 * 1024, rng.RandomBytes(128 * 1024)));
+  multi.ops.push_back(
+      DataOp(OsdOp::Type::kWrite, 4ull << 20, 512, rng.RandomBytes(512)));
+  multi.ops.push_back(OmapSetOp(rng, 3));
+  multi.ops.push_back(DataOp(OsdOp::Type::kTrim, 64 * 1024, 8192));
+  mix.push_back(std::move(multi));
+  return mix;
+}
+
+struct JournalRun {
+  uint64_t journal_bytes = 0;
+  uint64_t reference_bytes = 0;
+  uint64_t transactions = 0;
+  uint64_t write_ops = 0;
+  uint64_t bytes_written = 0;
+  sim::SimTime end_time = 0;
+  bool journal_region_zero = false;
+};
+
+// Applies the mix `rounds` times on a fresh store — first one transaction
+// at a time, then each round's transactions concurrently (appends in flight
+// together) — under a snapshot context that forces clones midway.
+JournalRun RunJournalMix(uint64_t journal_size, int rounds) {
+  JournalRun run;
+  testutil::RunSim([&]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    StoreConfig cfg = SmallStore();
+    cfg.journal_size = journal_size;
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    CO_ASSERT_OK(store.status());
+    auto& os = **store;
+    const std::vector<Transaction> mix = JournalMix();
+    for (int r = 0; r < rounds; ++r) {
+      SnapContext snapc;
+      snapc.seq = static_cast<uint64_t>(r / 2);
+      for (const auto& txn : mix) {
+        run.reference_bytes += ReferenceJournalRecord(txn, snapc).size();
+      }
+      if (r % 2 == 0) {
+        for (const auto& txn : mix) CO_ASSERT_OK(co_await os.Apply(txn, snapc));
+      } else {
+        std::vector<Status> results(mix.size());
+        std::vector<sim::Task<void>> tasks;
+        for (size_t i = 0; i < mix.size(); ++i) {
+          tasks.push_back([](ObjectStore& os, const Transaction& txn,
+                             const SnapContext& snapc,
+                             Status* out) -> sim::Task<void> {
+            *out = co_await os.Apply(txn, snapc);
+          }(os, mix[i], snapc, &results[i]));
+        }
+        co_await sim::WhenAll(std::move(tasks));
+        for (const Status& s : results) CO_ASSERT_OK(s);
+      }
+    }
+    co_await os.Drain();
+    run.journal_bytes = os.stats().journal_bytes;
+    run.transactions = os.stats().transactions;
+    run.write_ops = nvme->stats().write_ops;
+    run.bytes_written = nvme->stats().bytes_written;
+    run.end_time = sim::Scheduler::Current().now();
+    // The journal region holds no bytes: its pages were never allocated.
+    Bytes region(journal_size);
+    nvme->PeekRead(0, region);
+    run.journal_region_zero = std::all_of(
+        region.begin(), region.end(), [](uint8_t b) { return b == 0; });
+  });
+  return run;
+}
+
+// Golden values below were recorded from the store that serialized, CRC'd
+// and stored every record through a kv::Wal: the cost-only journal must
+// charge the device the same ops and bytes and end on the same sim time.
+TEST(ObjectStoreJournal, CostOnlyJournalChargesLikeTheStoredOne) {
+  const JournalRun run = RunJournalMix(8ull << 20, 6);
+  EXPECT_EQ(run.transactions, 6u * JournalMix().size());
+  EXPECT_EQ(run.journal_bytes, run.reference_bytes);
+  EXPECT_EQ(run.write_ops, 106u);
+  EXPECT_EQ(run.bytes_written, 11354112u);
+  EXPECT_EQ(run.end_time, 8139191u);
+  EXPECT_TRUE(run.journal_region_zero);
+}
+
+TEST(ObjectStoreJournal, CheckpointsChargeLikeTheStoredOne) {
+  // A 1 MiB journal wraps several times over 24 rounds (~5 MiB of records).
+  const JournalRun run = RunJournalMix(1ull << 20, 24);
+  EXPECT_EQ(run.transactions, 24u * JournalMix().size());
+  EXPECT_EQ(run.journal_bytes, run.reference_bytes);
+  EXPECT_EQ(run.write_ops, 439u);
+  EXPECT_EQ(run.bytes_written, 58372096u);
+  EXPECT_EQ(run.end_time, 30374895u);
+  EXPECT_TRUE(run.journal_region_zero);
+}
+
+TEST(ObjectStoreJournal, RecordLargerThanJournalIsOutOfSpace) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    StoreConfig cfg = SmallStore();
+    cfg.journal_size = 64 * 1024;
+    auto store = co_await ObjectStore::Open(nvme, cfg);
+    CO_ASSERT_OK(store.status());
+    Rng rng(22);
+    const Status s = co_await (*store)->Apply(
+        WriteTxn("big", 0, rng.RandomBytes(64 * 1024)), {});
+    EXPECT_EQ(s.code(), StatusCode::kOutOfSpace);
+    EXPECT_EQ((*store)->stats().transactions, 0u);
+  });
+}
+
 }  // namespace
 }  // namespace vde::objstore
