@@ -57,6 +57,22 @@ void BM_GcmSeal(benchmark::State& state, Backend backend) {
                           static_cast<int64_t>(size));
 }
 
+void BM_GcmOpen(benchmark::State& state, Backend backend) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  GcmCipher gcm(backend, BenchKey(32));
+  const Bytes iv = BenchKey(12);
+  const Bytes plain = BenchData(size);
+  Bytes cipher(size), tag(16), out(size);
+  gcm.Seal(iv, {}, plain, cipher, tag);
+  for (auto _ : state) {
+    const bool ok = gcm.Open(iv, {}, cipher, out, tag);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(size));
+}
+
 void BM_WideBlockEncrypt(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
   WideBlockCipher wb(BenchKey(64));
@@ -139,8 +155,9 @@ BENCHMARK_CAPTURE(BM_XtsEncrypt, openssl, Backend::kOpenssl)
     ->Arg(4096)
     ->Arg(65536);
 BENCHMARK_CAPTURE(BM_GcmSeal, soft, Backend::kSoft)->Arg(4096);
-BENCHMARK_CAPTURE(BM_GcmSeal, openssl_blockcipher, Backend::kOpenssl)
-    ->Arg(4096);
+BENCHMARK_CAPTURE(BM_GcmSeal, openssl, Backend::kOpenssl)->Arg(4096);
+BENCHMARK_CAPTURE(BM_GcmOpen, soft, Backend::kSoft)->Arg(4096);
+BENCHMARK_CAPTURE(BM_GcmOpen, openssl, Backend::kOpenssl)->Arg(4096);
 BENCHMARK(BM_WideBlockEncrypt)->Arg(512)->Arg(4096);
 BENCHMARK_CAPTURE(BM_CbcEncrypt, openssl, Backend::kOpenssl)->Arg(4096);
 BENCHMARK(BM_Sha256)->Arg(4096);

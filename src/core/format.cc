@@ -822,15 +822,17 @@ class RandomIvFormat final : public EncryptionFormat {
 
   Status DecryptBlock(uint64_t lba, ByteSpan cipher, ByteSpan meta,
                       MutByteSpan plain) {
+    // Every slice below assumes a full row; a persisted or cached row of
+    // the wrong length is corrupt, not something to read past.
+    if (meta.size() != spec_.MetaPerBlock()) {
+      return Status::Corruption("metadata row size mismatch");
+    }
     // With compression on, the row leads with [codec][stored length]; only
     // that many ciphertext bytes are live (the slot tail is trimmed junk).
     const size_t header = HeaderBytes();
     uint8_t codec = static_cast<uint8_t>(Compression::kNone);
     size_t clen = kBlockSize;
     if (header > 0) {
-      if (meta.size() != spec_.MetaPerBlock()) {
-        return Status::Corruption("metadata row size mismatch");
-      }
       codec = meta[0];
       clen = LoadU16Le(meta.data() + 1);
       if (codec > static_cast<uint8_t>(Compression::kLz) || clen == 0 ||

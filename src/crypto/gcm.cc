@@ -1,9 +1,25 @@
 #include "crypto/gcm.h"
 
+#include <openssl/evp.h>
+
+#include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
 
 namespace vde::crypto {
+
+// One context per direction, keyed once; every call re-arms it with a fresh
+// IV (EVP's GCM default IV length is the 96 bits kGcmIvSize names).
+struct GcmCipher::EvpState {
+  EVP_CIPHER_CTX* enc = nullptr;
+  EVP_CIPHER_CTX* dec = nullptr;
+
+  ~EvpState() {
+    if (enc) EVP_CIPHER_CTX_free(enc);
+    if (dec) EVP_CIPHER_CTX_free(dec);
+  }
+};
 
 namespace {
 
@@ -39,6 +55,12 @@ U128 GfMul(U128 x, U128 y) {
   return z;
 }
 
+// EVP calls here fail only on allocation failure or a broken provider;
+// neither leaves a usable cipher, so stop rather than emit wrong bytes.
+void EvpCheck(bool ok) {
+  if (!ok) std::abort();
+}
+
 void Inc32(uint8_t block[16]) {
   uint32_t ctr = LoadU32Be(block + 12);
   StoreU32Be(block + 12, ctr + 1);
@@ -46,11 +68,29 @@ void Inc32(uint8_t block[16]) {
 
 }  // namespace
 
-GcmCipher::GcmCipher(Backend backend, ByteSpan key)
-    : cipher_(MakeAes(backend, key)) {
-  const uint8_t zero[16] = {};
-  cipher_->EncryptBlock(zero, h_);
+GcmCipher::GcmCipher(Backend backend, ByteSpan key) {
+  assert((key.size() == 16 || key.size() == 32) && "AES-GCM key is 16 or 32");
+  if (backend == Backend::kSoft) {
+    cipher_ = MakeAes(backend, key);
+    const uint8_t zero[16] = {};
+    cipher_->EncryptBlock(zero, h_);
+    return;
+  }
+  evp_ = std::make_unique<EvpState>();
+  const EVP_CIPHER* cipher =
+      key.size() == 16 ? EVP_aes_128_gcm() : EVP_aes_256_gcm();
+  evp_->enc = EVP_CIPHER_CTX_new();
+  evp_->dec = EVP_CIPHER_CTX_new();
+  EvpCheck(evp_->enc != nullptr && evp_->dec != nullptr);
+  EvpCheck(EVP_EncryptInit_ex(evp_->enc, cipher, nullptr, key.data(),
+                              nullptr) == 1);
+  EvpCheck(EVP_DecryptInit_ex(evp_->dec, cipher, nullptr, key.data(),
+                              nullptr) == 1);
 }
+
+GcmCipher::~GcmCipher() = default;
+GcmCipher::GcmCipher(GcmCipher&&) noexcept = default;
+GcmCipher& GcmCipher::operator=(GcmCipher&&) noexcept = default;
 
 void GcmCipher::Ctr(const uint8_t j0[16], ByteSpan in, MutByteSpan out) const {
   uint8_t counter[16];
@@ -94,12 +134,8 @@ void GcmCipher::Ghash(ByteSpan aad, ByteSpan cipher, uint8_t out[16]) const {
   Store(y, out);
 }
 
-void GcmCipher::Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
-                     MutByteSpan out, MutByteSpan tag) const {
-  assert(iv.size() == kGcmIvSize && "only 96-bit IVs supported");
-  assert(plain.size() == out.size());
-  assert(tag.size() == kGcmTagSize);
-
+void GcmCipher::SoftSeal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
+                         MutByteSpan out, MutByteSpan tag) const {
   uint8_t j0[16] = {};
   std::memcpy(j0, iv.data(), 12);
   j0[15] = 1;
@@ -113,12 +149,8 @@ void GcmCipher::Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
   for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ ek_j0[i];
 }
 
-bool GcmCipher::Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
-                     MutByteSpan out, ByteSpan tag) const {
-  assert(iv.size() == kGcmIvSize);
-  assert(cipher.size() == out.size());
-  assert(tag.size() == kGcmTagSize);
-
+bool GcmCipher::SoftOpen(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
+                         MutByteSpan out, ByteSpan tag) const {
   uint8_t j0[16] = {};
   std::memcpy(j0, iv.data(), 12);
   j0[15] = 1;
@@ -130,11 +162,81 @@ bool GcmCipher::Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
   uint8_t expect[16];
   for (int i = 0; i < 16; ++i) expect[i] = s[i] ^ ek_j0[i];
   if (!ConstantTimeEqual(ByteSpan(expect, 16), tag)) {
-    std::memset(out.data(), 0, out.size());
+    std::fill(out.begin(), out.end(), 0);
     return false;
   }
   Ctr(j0, cipher, out);
   return true;
+}
+
+// Zero-length updates are skipped: an empty span may carry a null pointer.
+void GcmCipher::EvpSeal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
+                        MutByteSpan out, MutByteSpan tag) const {
+  EVP_CIPHER_CTX* ctx = evp_->enc;
+  int len = 0;
+  EvpCheck(EVP_EncryptInit_ex(ctx, nullptr, nullptr, nullptr, iv.data()) == 1);
+  if (!aad.empty()) {
+    EvpCheck(EVP_EncryptUpdate(ctx, nullptr, &len, aad.data(),
+                               static_cast<int>(aad.size())) == 1);
+  }
+  if (!plain.empty()) {
+    EvpCheck(EVP_EncryptUpdate(ctx, out.data(), &len, plain.data(),
+                               static_cast<int>(plain.size())) == 1 &&
+             len == static_cast<int>(plain.size()));
+  }
+  uint8_t none[16] = {};
+  EvpCheck(EVP_EncryptFinal_ex(ctx, none, &len) == 1 && len == 0);
+  EvpCheck(EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_GET_TAG,
+                               static_cast<int>(kGcmTagSize),
+                               tag.data()) == 1);
+}
+
+// EVP decrypts into `out` before the tag is checked, so a mismatch must
+// wipe what it wrote.
+bool GcmCipher::EvpOpen(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
+                        MutByteSpan out, ByteSpan tag) const {
+  EVP_CIPHER_CTX* ctx = evp_->dec;
+  int len = 0;
+  EvpCheck(EVP_DecryptInit_ex(ctx, nullptr, nullptr, nullptr, iv.data()) == 1);
+  if (!aad.empty()) {
+    EvpCheck(EVP_DecryptUpdate(ctx, nullptr, &len, aad.data(),
+                               static_cast<int>(aad.size())) == 1);
+  }
+  if (!cipher.empty()) {
+    EvpCheck(EVP_DecryptUpdate(ctx, out.data(), &len, cipher.data(),
+                               static_cast<int>(cipher.size())) == 1 &&
+             len == static_cast<int>(cipher.size()));
+  }
+  EvpCheck(EVP_CIPHER_CTX_ctrl(ctx, EVP_CTRL_GCM_SET_TAG,
+                               static_cast<int>(kGcmTagSize),
+                               const_cast<uint8_t*>(tag.data())) == 1);
+  uint8_t none[16] = {};
+  if (EVP_DecryptFinal_ex(ctx, none, &len) != 1) {
+    std::fill(out.begin(), out.end(), 0);
+    return false;
+  }
+  return true;
+}
+
+void GcmCipher::Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain,
+                     MutByteSpan out, MutByteSpan tag) const {
+  assert(iv.size() == kGcmIvSize && "only 96-bit IVs supported");
+  assert(plain.size() == out.size());
+  assert(tag.size() == kGcmTagSize);
+  if (evp_) {
+    EvpSeal(iv, aad, plain, out, tag);
+  } else {
+    SoftSeal(iv, aad, plain, out, tag);
+  }
+}
+
+bool GcmCipher::Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher,
+                     MutByteSpan out, ByteSpan tag) const {
+  assert(iv.size() == kGcmIvSize);
+  assert(cipher.size() == out.size());
+  assert(tag.size() == kGcmTagSize);
+  return evp_ ? EvpOpen(iv, aad, cipher, out, tag)
+              : SoftOpen(iv, aad, cipher, out, tag);
 }
 
 }  // namespace vde::crypto

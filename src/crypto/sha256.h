@@ -1,10 +1,14 @@
-// From-scratch SHA-256 (FIPS 180-4), streaming interface.
+// SHA-256 (FIPS 180-4), streaming interface over OpenSSL's EVP digest (SHA-NI
+// or AVX2 when the CPU has them). Each object owns one digest context; the
+// EVP_MD it runs is fetched once per process.
 #pragma once
 
 #include <array>
 #include <cstdint>
 
 #include "util/bytes.h"
+
+struct evp_md_ctx_st;  // OpenSSL's EVP_MD_CTX, kept out of this header
 
 namespace vde::crypto {
 
@@ -13,6 +17,12 @@ inline constexpr size_t kSha256DigestSize = 32;
 class Sha256 {
  public:
   Sha256();
+  ~Sha256();
+
+  Sha256(Sha256&& other) noexcept;
+  Sha256& operator=(Sha256&& other) noexcept;
+  Sha256(const Sha256&) = delete;
+  Sha256& operator=(const Sha256&) = delete;
 
   void Update(ByteSpan data);
   // Finalizes and returns the digest; the object must not be reused after.
@@ -22,12 +32,7 @@ class Sha256 {
   static std::array<uint8_t, kSha256DigestSize> Digest(ByteSpan data);
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
-  std::array<uint32_t, 8> h_;
-  uint8_t buf_[64];
-  size_t buf_len_ = 0;
-  uint64_t total_len_ = 0;
+  evp_md_ctx_st* ctx_;
 };
 
 }  // namespace vde::crypto

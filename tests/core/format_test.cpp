@@ -410,5 +410,44 @@ TEST(FormatSecurity, OmapMissingIvRejected) {
             StatusCode::kCorruption);
 }
 
+// A cached or persisted metadata row of the wrong length (the IV cache
+// installs any persisted row long enough to carry its stamp) must fail as
+// corruption before any IV or tag slice reads past its end.
+TEST(FormatSecurity, WrongLengthIvRowRejected) {
+  const EncryptionSpec specs[] = {
+      RandomIvSpec(IvLayout::kObjectEnd),
+      RandomIvSpec(IvLayout::kObjectEnd, Integrity::kHmac),
+      RandomIvSpec(IvLayout::kObjectEnd, Integrity::kNone,
+                   CipherMode::kGcmRandom)};
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec.Name());
+    auto format = MakeFormat(spec, TestKey(), kObjectSize);
+    Rng rng(16);
+    const Bytes plain = rng.RandomBytes(kBlockSize);
+    const auto ext = MakeExtent(0, 1, 5);
+    Transaction wr;
+    IvRows ivs;
+    ASSERT_TRUE(format->MakeWrite(ext, plain, wr, &ivs).ok());
+    ASSERT_EQ(ivs.size(), 1u);
+    ASSERT_EQ(ivs[0].size(), spec.MetaPerBlock());
+    ReadResult rd;
+    rd.data = wr.ops[0].data;
+    ASSERT_EQ(rd.data.size(), kBlockSize);
+
+    Bytes out(kBlockSize);
+    ASSERT_TRUE(format->FinishReadWithIvs(ext, rd, ivs, out).ok());
+    EXPECT_EQ(out, plain);
+
+    const Bytes full = ivs[0];
+    for (const size_t len : {full.size() - 1, full.size() + 1}) {
+      Bytes row = full;
+      row.resize(len, 0x5a);
+      EXPECT_EQ(format->FinishReadWithIvs(ext, rd, IvRows{row}, out).code(),
+                StatusCode::kCorruption)
+          << "row length " << len;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vde::core

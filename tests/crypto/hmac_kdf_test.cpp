@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/hmac.h"
 #include "util/rng.h"
 
@@ -30,11 +32,60 @@ TEST(HmacSha256, Rfc4231Case3) {
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
+TEST(HmacSha256, Rfc4231Case4) {
+  Bytes key(25);
+  for (size_t i = 0; i < key.size(); ++i) key[i] = static_cast<uint8_t>(i + 1);
+  const Bytes data(50, 0xcd);
+  EXPECT_EQ(HmacHex(key, data),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
+}
+
+TEST(HmacSha256, Rfc4231Case5TruncatedTag) {
+  // The RFC publishes only the leading 128 bits of this tag.
+  const Bytes key(20, 0x0c);
+  const auto tag = HmacSha256(key, BytesOf("Test With Truncation"));
+  EXPECT_EQ(ToHex(ByteSpan(tag.data(), 16)),
+            "a3b6167473100ee06e0c796c2955552b");
+}
+
 TEST(HmacSha256, LongKeyIsHashed) {
   // RFC 4231 case 6: 131-byte key.
   const Bytes key(131, 0xaa);
   EXPECT_EQ(HmacHex(key, BytesOf("Test Using Larger Than Block-Size Key - "
                                  "Hash Key First")),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, Rfc4231Case7LongKeyAndData) {
+  const Bytes key(131, 0xaa);
+  EXPECT_EQ(HmacHex(key, BytesOf("This is a test using a larger than "
+                                 "block-size key and a larger than "
+                                 "block-size data. The key needs to be "
+                                 "hashed before being used by the HMAC "
+                                 "algorithm.")),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+}
+
+// Two live streams fed in alternation: each owns its digest contexts, and
+// the digest method they share is only read, so neither sees the other's
+// bytes.
+TEST(HmacSha256, InterleavedStreamsStayIndependent) {
+  const Bytes key1(20, 0x0b);
+  const Bytes key2(131, 0xaa);
+  const Bytes msg1 = BytesOf("Hi There");
+  const Bytes msg2 =
+      BytesOf("Test Using Larger Than Block-Size Key - Hash Key First");
+  HmacSha256Stream h1(key1);
+  HmacSha256Stream h2(key2);
+  for (size_t i = 0; i < std::max(msg1.size(), msg2.size()); ++i) {
+    if (i < msg1.size()) h1.Update(ByteSpan(msg1.data() + i, 1));
+    if (i < msg2.size()) h2.Update(ByteSpan(msg2.data() + i, 1));
+  }
+  const auto t2 = h2.Finish();
+  const auto t1 = h1.Finish();
+  EXPECT_EQ(ToHex(t1),
+            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+  EXPECT_EQ(ToHex(t2),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 

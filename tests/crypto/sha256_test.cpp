@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "util/rng.h"
 
 namespace vde::crypto {
@@ -49,6 +51,40 @@ TEST(Sha256, StreamingMatchesOneShotAtAllSplitPoints) {
     const auto d = h.Finish();
     ASSERT_EQ(ToHex(ByteSpan(d.data(), d.size())), expect) << "split=" << split;
   }
+}
+
+// Two live hashers fed in alternation, across block boundaries: each owns
+// its context, and the once-fetched digest method they share is read-only.
+TEST(Sha256, InterleavedObjectsStayIndependent) {
+  const Bytes two_block =
+      BytesOf("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  const Bytes as(1000, 'a');
+  Sha256 h1;
+  Sha256 h2;
+  for (size_t i = 0; i < two_block.size(); ++i) {
+    h1.Update(ByteSpan(two_block.data() + i, 1));
+    for (int j = 0; j < 17; ++j) h2.Update(as);
+  }
+  for (size_t i = 0; i < 1000 - 17 * two_block.size(); ++i) h2.Update(as);
+  const auto d1 = h1.Finish();
+  const auto d2 = h2.Finish();
+  EXPECT_EQ(ToHex(ByteSpan(d1.data(), d1.size())),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(ToHex(ByteSpan(d2.data(), d2.size())),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+// A moved-to hasher carries on with the moved-from one's state.
+TEST(Sha256, MoveKeepsState) {
+  Sha256 a;
+  a.Update(BytesOf("ab"));
+  Sha256 b(std::move(a));
+  b.Update(BytesOf("c"));
+  Sha256 c;
+  c = std::move(b);
+  const auto d = c.Finish();
+  EXPECT_EQ(ToHex(ByteSpan(d.data(), d.size())),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
 }
 
 TEST(Sha256, LengthSensitivity) {
