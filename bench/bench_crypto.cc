@@ -4,7 +4,6 @@
 // performance", and the XTS-vs-GCM gap relevant to the integrity extension.
 #include <benchmark/benchmark.h>
 
-#include "crypto/cbc.h"
 #include "crypto/chacha20.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"
@@ -87,20 +86,6 @@ void BM_WideBlockEncrypt(benchmark::State& state) {
                           static_cast<int64_t>(size));
 }
 
-void BM_CbcEncrypt(benchmark::State& state, Backend backend) {
-  const size_t size = static_cast<size_t>(state.range(0));
-  CbcCipher cbc(backend, BenchKey(32));
-  const Bytes iv = BenchKey(16);
-  const Bytes in = BenchData(size);
-  Bytes out(size);
-  for (auto _ : state) {
-    cbc.Encrypt(iv, in, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(size));
-}
-
 void BM_Sha256(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
   const Bytes in = BenchData(size);
@@ -159,7 +144,6 @@ BENCHMARK_CAPTURE(BM_GcmSeal, openssl, Backend::kOpenssl)->Arg(4096);
 BENCHMARK_CAPTURE(BM_GcmOpen, soft, Backend::kSoft)->Arg(4096);
 BENCHMARK_CAPTURE(BM_GcmOpen, openssl, Backend::kOpenssl)->Arg(4096);
 BENCHMARK(BM_WideBlockEncrypt)->Arg(512)->Arg(4096);
-BENCHMARK_CAPTURE(BM_CbcEncrypt, openssl, Backend::kOpenssl)->Arg(4096);
 BENCHMARK(BM_Sha256)->Arg(4096);
 BENCHMARK(BM_HmacSha256)->Arg(4096);
 BENCHMARK(BM_DrbgIvGeneration);

@@ -462,6 +462,21 @@ sim::Task<Status> Image::EnsureObjectState(uint64_t object_no,
   co_return co_await trim_state_->Ensure(object_no);
 }
 
+sim::Task<void> Image::ChargeClientCpu(obs::TraceContext* trace,
+                                       const std::string& oid,
+                                       sim::SimTime cipher,
+                                       sim::SimTime codec) {
+  const uint64_t shard = sim::ShardOf(oid);
+  {
+    obs::SpanScope crypto_span(trace, obs::Stage::kCrypto);
+    co_await sim::ChargeCpu{shard, cipher};
+  }
+  if (codec > 0) {
+    obs::SpanScope compress_span(trace, obs::Stage::kCompress);
+    co_await sim::ChargeCpu{shard, codec};
+  }
+}
+
 sim::Task<Status> Image::PersistMetadata() {
   auto io = this->io();
   co_return co_await io.WriteFull(

@@ -345,6 +345,17 @@ class Image {
   sim::Task<Status> EnsureObjectState(uint64_t object_no,
                                       obs::TraceContext* trace = nullptr);
 
+  // The one client-CPU charge site: `cipher` ns under a kCrypto span, then
+  // `codec` ns (if any) under a kCompress span, both on the core object
+  // `oid` maps to. With the core model off ChargeCpu is a plain Sleep, so
+  // both modes run this same line; only Scheduler::ReserveCpu differs.
+  // A null `trace` records no spans (write-back work is attributed by the
+  // request that triggered it).
+  static sim::Task<void> ChargeClientCpu(obs::TraceContext* trace,
+                                         const std::string& oid,
+                                         sim::SimTime cipher,
+                                         sim::SimTime codec);
+
   // Flush ordering: write-class requests take a ticket at submit time and
   // retire it on completion; a flush barrier resolves once no ticket below
   // it is outstanding.

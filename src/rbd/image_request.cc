@@ -88,14 +88,18 @@ size_t PartialEdges(uint64_t byte_off, uint64_t byte_len, size_t block_count) {
   return (head ? 1 : 0) + (tail ? 1 : 0);
 }
 
-// Releases a write-back hold when the owning chunk task finishes.
+// Releases a write-back hold when the owning chunk task finishes (or
+// earlier, via Release).
 class HoldGuard {
  public:
   HoldGuard(Writeback& wb, Writeback::Hold* hold) : wb_(wb), hold_(hold) {}
   HoldGuard(const HoldGuard&) = delete;
   HoldGuard& operator=(const HoldGuard&) = delete;
-  ~HoldGuard() {
+  ~HoldGuard() { Release(); }
+
+  void Release() {
     if (hold_ != nullptr) wb_.Release(hold_);
+    hold_ = nullptr;
   }
 
  private:
@@ -280,16 +284,32 @@ sim::Task<void> ImageRequest::Run(std::unique_ptr<ImageRequest> self) {
 sim::Task<Status> ImageRequest::Execute() {
   switch (kind_) {
     case IoKind::kRead:
-      co_return co_await ExecuteReadOp();
+      co_return co_await RunChunks(&ImageRequest::ReadChunk);
     case IoKind::kWrite:
-      co_return co_await ExecuteWriteOp();
+      co_return co_await RunChunks(&ImageRequest::WriteChunk);
     case IoKind::kDiscard:
     case IoKind::kWriteZeroes:
-      co_return co_await ExecuteDiscardOp();
+      co_return co_await RunChunks(&ImageRequest::DiscardChunk);
     case IoKind::kFlush:
       co_return co_await ExecuteFlushOp();
   }
   co_return Status::InvalidArgument("unknown IO kind");
+}
+
+sim::Task<Status> ImageRequest::RunChunks(ChunkFn fn) {
+  std::vector<Status> results(chunks_.size());
+  std::vector<sim::Task<void>> tasks;
+  for (size_t i = 0; i < chunks_.size(); ++i) {
+    tasks.push_back([](ImageRequest* self, ChunkFn fn, size_t idx,
+                       Status* out) -> sim::Task<void> {
+      *out = co_await (self->*fn)(idx);
+    }(this, fn, i, &results[i]));
+  }
+  co_await sim::WhenAll(std::move(tasks));
+  for (const auto& s : results) {
+    if (!s.ok()) co_return s;
+  }
+  co_return Status::Ok();
 }
 
 std::vector<ImageRequest::Chunk> ImageRequest::Chunks() const {
@@ -341,40 +361,6 @@ void ImageRequest::ScatterTo(uint64_t buf_off, ByteSpan in) {
 
 // --- Read ---
 
-sim::Task<Status> ImageRequest::ExecuteReadOp() {
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->ReadChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  // Client-side decryption cost over the covers that actually decrypted
-  // ciphertext (partial blocks are decrypted whole even if the guest asked
-  // for 512 B of them); covers served from the plaintext staging buffer
-  // cost nothing here. Under the core model each chunk already charged its
-  // own core inside ReadChunk, overlapping across objects.
-  if (read_decrypted_bytes_ > 0 &&
-      !sim::Scheduler::Current().core_model_enabled()) {
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::Sleep{image_.format_->CryptoCost(read_decrypted_bytes_)};
-  }
-  // Expansion of compressed blocks (only those actually stored compressed;
-  // zero with compression off, so the event stream is untouched then).
-  if (read_expanded_blocks_ > 0 &&
-      !sim::Scheduler::Current().core_model_enabled()) {
-    obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-    co_await sim::Sleep{image_.format_->DecompressCost(read_expanded_blocks_ *
-                                                       kBlockSize)};
-  }
-  co_return Status::Ok();
-}
-
 MutByteSpan ImageRequest::ContiguousDst(uint64_t buf_off, uint64_t len) const {
   return ContiguousAt(dst_, buf_off, len);
 }
@@ -407,6 +393,8 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   // is staged needs no store read at all: the stages ARE the content —
   // the hot read-after-write path of the db workload.
   const bool overlay = snap_ == objstore::kHeadSnap;
+  bool decrypted = false;
+  uint64_t expanded = 0;
   bool fully_staged = overlay;
   if (overlay) {
     for (size_t b = 0; fully_staged && b < chunk.cover.block_count; ++b) {
@@ -453,25 +441,8 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
         const uint64_t expanded_before =
             fmt.compress_stats().decompressed_blocks;
         VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
-        const uint64_t expanded =
-            fmt.compress_stats().decompressed_blocks - expanded_before;
-        read_decrypted_bytes_ += cover_bytes;
-        read_expanded_blocks_ += expanded;
-        // Pipelined decrypt: charge this chunk's covers on the object's
-        // core so chunks of different objects decrypt in parallel.
-        sim::Scheduler& sched = sim::Scheduler::Current();
-        if (sched.core_model_enabled()) {
-          obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-          co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                                  fmt.CryptoCost(cover_bytes)};
-          crypto_span.End();
-          if (expanded > 0) {
-            obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-            co_await sim::ChargeCpu{
-                sim::ShardOf(chunk.cover.oid),
-                fmt.DecompressCost(expanded * kBlockSize)};
-          }
-        }
+        expanded = fmt.compress_stats().decompressed_blocks - expanded_before;
+        decrypted = true;
       }
     }
   }
@@ -493,60 +464,21 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
       image_.meta_store_->JournalPressure()) {
     VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
   }
+  // Client-side decrypt of the cover that really hit the cipher (partial
+  // blocks decrypt whole even if the guest asked for 512 B of them), then
+  // expansion of the blocks stored compressed; staged covers cost nothing.
+  // Charged outside the hold, on the object's core: chunks of different
+  // objects decrypt concurrently.
+  held.Release();
+  if (decrypted) {
+    co_await Image::ChargeClientCpu(ctx(), chunk.cover.oid,
+                                    fmt.CryptoCost(cover_bytes),
+                                    fmt.DecompressCost(expanded * kBlockSize));
+  }
   co_return Status::Ok();
 }
 
 // --- Write ---
-
-sim::Task<Status> ImageRequest::ExecuteWriteOp() {
-  // Client-side encryption cost for the write-through chunks (modeled; the
-  // bytes below are really encrypted too, which tests verify end to end).
-  // Staged chunks pay their crypto at stage-creation (RMW decrypt) and
-  // flush (encrypt) instead — that deferral is the coalescing win.
-  // Calibrated basis: the payload bytes stream once plus a merge surcharge
-  // per partial edge block — NOT every covering block in full. Under the
-  // core model the charge instead happens per chunk inside WriteChunk, on
-  // the target object's core, so chunks encrypt in parallel.
-  if (!sim::Scheduler::Current().core_model_enabled()) {
-    uint64_t through_bytes = 0;
-    uint64_t cover_bytes = 0;
-    size_t edge_blocks = 0;
-    for (const auto& c : chunks_) {
-      if (StageEligible(c)) continue;
-      through_bytes += c.byte_len;
-      cover_bytes += c.cover.block_count * uint64_t{kBlockSize};
-      edge_blocks += PartialEdges(c.byte_off, c.byte_len,
-                                  c.cover.block_count);
-    }
-    if (through_bytes > 0) {
-      obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-      co_await sim::Sleep{
-          image_.format_->IoCryptoCost(through_bytes, edge_blocks)};
-    }
-    // Pay-to-try compression: MakeWrite feeds every covering block through
-    // the codec, shrunk or not. Zero cost (and zero events) with no codec.
-    const sim::SimTime compress_cost =
-        image_.format_->CompressCost(cover_bytes);
-    if (compress_cost > 0) {
-      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-      co_await sim::Sleep{compress_cost};
-    }
-  }
-
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->WriteChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
-}
 
 sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
                                              MutByteSpan head_block,
@@ -635,18 +567,11 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
     if (!plans[i].zero_fill()) decrypted_blocks++;
   }
   if (decrypted_blocks > 0) {
-    // ChargeCpu degrades to Sleep with the core model off; enabled, the
-    // RMW edge decrypt serializes with the object's other crypto work.
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.CryptoCost(decrypted_blocks * kBlockSize)};
-  }
-  const uint64_t expanded =
-      fmt.compress_stats().decompressed_blocks - expanded_before;
-  if (expanded > 0) {
-    obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.DecompressCost(expanded * kBlockSize)};
+    const uint64_t expanded =
+        fmt.compress_stats().decompressed_blocks - expanded_before;
+    co_await Image::ChargeClientCpu(
+        ctx(), chunk.cover.oid, fmt.CryptoCost(decrypted_blocks * kBlockSize),
+        fmt.DecompressCost(expanded * kBlockSize));
   }
   co_return Status::Ok();
 }
@@ -678,46 +603,39 @@ sim::Task<Status> ImageRequest::StageChunk(const Chunk& chunk) {
 sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
   Writeback& wb = *image_.writeback_;
+  core::EncryptionFormat& fmt = *image_.format_;
+  const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
+  const bool staged = StageEligible(chunk);
+  if (!staged) {
+    // Client-side encrypt of a write-through chunk, before its hold, on the
+    // object's core: chunks bound for different objects (striped writes in
+    // particular) encrypt concurrently. Staged chunks pay at stage creation
+    // (RMW decrypt) and flush (encrypt) instead — the coalescing win. The
+    // cipher streams the payload once plus a merge surcharge per partial
+    // edge block; pay-to-try compression feeds every covering block through
+    // the codec, shrunk or not.
+    co_await Image::ChargeClientCpu(
+        ctx(), chunk.cover.oid,
+        fmt.IoCryptoCost(chunk.byte_len,
+                         PartialEdges(chunk.byte_off, chunk.byte_len,
+                                      chunk.cover.block_count)),
+        fmt.CompressCost(cover_bytes));
+  }
   {
     obs::SpanScope wb_span(ctx(), obs::Stage::kWb);
     co_await wb.Acquire(holds_[idx]);
   }
   HoldGuard held(wb, holds_[idx]);
 
-  if (StageEligible(chunk)) {
+  if (staged) {
     // Staging (and any eviction IO it triggers) is write-back work.
     obs::SpanScope wb_span(ctx(), obs::Stage::kWb);
     co_return co_await StageChunk(chunk);
   }
 
-  // Pipelined encrypt: this chunk's payload charges the target object's
-  // core before the store transaction — chunks bound for different objects
-  // (striped sequential writes in particular) encrypt concurrently. With
-  // the core model off, ExecuteWriteOp charged one aggregate pass already.
-  {
-    sim::Scheduler& sched = sim::Scheduler::Current();
-    if (sched.core_model_enabled()) {
-      obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-      co_await sim::ChargeCpu{
-          sim::ShardOf(chunk.cover.oid),
-          image_.format_->IoCryptoCost(
-              chunk.byte_len, PartialEdges(chunk.byte_off, chunk.byte_len,
-                                           chunk.cover.block_count))};
-      crypto_span.End();
-      const sim::SimTime compress_cost = image_.format_->CompressCost(
-          chunk.cover.block_count * size_t{kBlockSize});
-      if (compress_cost > 0) {
-        obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-        co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
-      }
-    }
-  }
-
-  core::EncryptionFormat& fmt = *image_.format_;
   TrimState& ts = *image_.trim_state_;
   const uint64_t last_block =
       chunk.cover.first_block + chunk.cover.block_count - 1;
-  const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
   const bool head_partial = chunk.byte_off % kBlockSize != 0;
   const bool tail_partial = (chunk.byte_off + chunk.byte_len) % kBlockSize != 0;
   // Writing makes these blocks live: if any was marked zero-legit in the
@@ -806,22 +724,6 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
 }
 
 // --- Discard / WriteZeroes ---
-
-sim::Task<Status> ImageRequest::ExecuteDiscardOp() {
-  std::vector<Status> results(chunks_.size());
-  std::vector<sim::Task<void>> tasks;
-  for (size_t i = 0; i < chunks_.size(); ++i) {
-    tasks.push_back([](ImageRequest* self, size_t idx,
-                       Status* out) -> sim::Task<void> {
-      *out = co_await self->DiscardChunk(idx);
-    }(this, i, &results[i]));
-  }
-  co_await sim::WhenAll(std::move(tasks));
-  for (const auto& s : results) {
-    if (!s.ok()) co_return s;
-  }
-  co_return Status::Ok();
-}
 
 sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
@@ -999,16 +901,9 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
       chunk.cover.object_no, edge_written, trimmed_range, txn);
   VDE_CO_RETURN_IF_ERROR(update.status());
   if (edge_blocks > 0) {
-    obs::SpanScope crypto_span(ctx(), obs::Stage::kCrypto);
-    co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid),
-                            fmt.CryptoCost(edge_blocks * kBlockSize)};
-    crypto_span.End();
-    const sim::SimTime compress_cost =
-        fmt.CompressCost(edge_blocks * size_t{kBlockSize});
-    if (compress_cost > 0) {
-      obs::SpanScope compress_span(ctx(), obs::Stage::kCompress);
-      co_await sim::ChargeCpu{sim::ShardOf(chunk.cover.oid), compress_cost};
-    }
+    co_await Image::ChargeClientCpu(ctx(), chunk.cover.oid,
+                                    fmt.CryptoCost(edge_blocks * kBlockSize),
+                                    fmt.CompressCost(edge_blocks * kBlockSize));
   }
   txn.trace = ctx();
   obs::SpanScope store_span(ctx(), obs::Stage::kStore);

@@ -73,14 +73,16 @@ class ImageRequest {
 
   static sim::Task<void> Run(std::unique_ptr<ImageRequest> self);
   sim::Task<Status> Execute();
-  sim::Task<Status> ExecuteReadOp();
-  sim::Task<Status> ExecuteWriteOp();
-  sim::Task<Status> ExecuteDiscardOp();  // kDiscard and kWriteZeroes
   sim::Task<Status> ExecuteFlushOp();
+
+  // Runs `fn` on every chunk concurrently; the first failed chunk (in
+  // chunk order) decides the request status.
+  using ChunkFn = sim::Task<Status> (ImageRequest::*)(size_t idx);
+  sim::Task<Status> RunChunks(ChunkFn fn);
 
   sim::Task<Status> ReadChunk(size_t idx);
   sim::Task<Status> WriteChunk(size_t idx);
-  sim::Task<Status> DiscardChunk(size_t idx);
+  sim::Task<Status> DiscardChunk(size_t idx);  // kDiscard and kWriteZeroes
   sim::Task<Status> StageChunk(const Chunk& chunk);
 
   // Reads + decrypts the partial edge blocks of `chunk` — the cover's
@@ -117,8 +119,6 @@ class ImageRequest {
   CompletionPtr completion_;
   std::vector<Chunk> chunks_;
   std::vector<Writeback::Hold*> holds_;  // parallel to chunks_; may be null
-  uint64_t read_decrypted_bytes_ = 0;  // covers that really hit the cipher
-  uint64_t read_expanded_blocks_ = 0;  // blocks decompressed for this read
   uint64_t write_seq_ = 0;  // flush-ordering ticket (write-class ops)
   bool seq_assigned_ = false;
   sim::Gate flush_gate_;

@@ -121,12 +121,11 @@ sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
   if (!got.ok()) co_return got.status();
   const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
   VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
-  // Decrypt on the object's core (plain Sleep with the core model off).
-  co_await sim::ChargeCpu{sim::ShardOf(ext.oid), fmt.CryptoCost(kBlockSize)};
-  if (fmt.compress_stats().decompressed_blocks > expanded_before) {
-    co_await sim::ChargeCpu{sim::ShardOf(ext.oid),
-                            fmt.DecompressCost(kBlockSize)};
-  }
+  const bool expanded =
+      fmt.compress_stats().decompressed_blocks > expanded_before;
+  co_await Image::ChargeClientCpu(nullptr, ext.oid, fmt.CryptoCost(kBlockSize),
+                                  expanded ? fmt.DecompressCost(kBlockSize)
+                                           : 0);
   co_return Status::Ok();
 }
 
@@ -272,17 +271,12 @@ sim::Task<Status> Writeback::WriteOutStage(uint64_t object_no, uint64_t block,
   auto update =
       co_await image_.trim_state_->Stage(object_no, written_range, {}, txn);
   VDE_CO_RETURN_IF_ERROR(update.status());
-  // Flush-time encrypt charges the object's core (plain Sleep when off).
-  co_await sim::ChargeCpu{sim::ShardOf(image_.ObjectName(object_no)),
-                          fmt.CryptoCost(kBlockSize)};
-  if (const sim::SimTime compress_cost = fmt.CompressCost(kBlockSize);
-      compress_cost > 0) {
-    co_await sim::ChargeCpu{sim::ShardOf(image_.ObjectName(object_no)),
-                            compress_cost};
-  }
+  const std::string oid = image_.ObjectName(object_no);
+  co_await Image::ChargeClientCpu(nullptr, oid, fmt.CryptoCost(kBlockSize),
+                                  fmt.CompressCost(kBlockSize));
   auto io = image_.io();
-  Status applied = co_await io.Operate(image_.ObjectName(object_no),
-                                       std::move(txn), image_.SnapContext());
+  Status applied =
+      co_await io.Operate(oid, std::move(txn), image_.SnapContext());
   // Flush and snapshot drains funnel through here: the freshly persisted
   // IV replaces the stale cached row in the same breath, so a barrier
   // never leaves a row pointing at overwritten ciphertext.

@@ -1,8 +1,9 @@
 // Guest-side striping tests: the stripe-unit/stripe-count mapping math,
 // header persistence of the geometry, invalid-geometry rejection, verify-
 // mode mutating fio across stripe geometries and queue depths, the RMW
-// lost-update regression with striping + write-back on, and sim-clock
-// determinism of the N-core CPU model at every core count.
+// lost-update regression with striping + write-back on, sim-clock
+// determinism of the N-core CPU model at every core count, and per-chunk
+// client CPU charges with the core model off.
 #include <algorithm>
 #include <gtest/gtest.h>
 
@@ -311,6 +312,169 @@ TEST(Striping, DeterministicAtEveryCoreCount) {
   ASSERT_TRUE(off.ok && quad.ok);
   EXPECT_EQ(off.ops, quad.ops);
   EXPECT_EQ(off.bytes, quad.bytes);
+}
+
+// --- Per-chunk client CPU charges ----------------------------------------
+
+// Every chunk charges its own cipher work on its object's core, with the
+// core model off too (ChargeCpu is then a plain Sleep): a request spanning
+// two objects pays its two chunk charges concurrently, never one summed
+// charge for the whole request. The exclusive kCrypto stage time shows it.
+TEST(Striping, ChunksChargeCpuConcurrentlyWithCoreModelOff) {
+  constexpr uint64_t kSu = 16 * 1024;
+  sim::Scheduler sched;
+  sched.ConfigureCores(0);  // overrides VDE_SIM_CORES in the .mc4 shard
+  bool done = false;
+  sched.Spawn([](bool* done) -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    ImageOptions opts = StripedImage(kSu, 4);
+    opts.obs.enabled = true;
+    auto image = co_await Image::Create(**cluster, "cpu", "pw", opts);
+    CO_ASSERT_OK(image.status());
+    Image& img = **image;
+    const auto fmt = core::MakeFormat(opts.enc, Bytes(core::kMasterKeySize),
+                                      kObjSize);
+    CO_ASSERT_TRUE(fmt != nullptr);
+    const auto crypto_ns = [](const CompletionPtr& c) {
+      return c->trace()->stage_ns()[static_cast<size_t>(obs::Stage::kCrypto)];
+    };
+
+    // Two aligned stripe units: one write-through chunk on object 0 and one
+    // on object 1.
+    Rng rng(71);
+    const Bytes data = rng.RandomBytes(2 * kSu);
+    auto w = Completion::Create();
+    img.AioWrite(data, 0, w);
+    co_await w->Wait();
+    CO_ASSERT_OK(w->status());
+    CO_ASSERT_TRUE(w->trace() != nullptr);
+    EXPECT_EQ(crypto_ns(w), fmt->IoCryptoCost(kSu, 0));
+
+    Bytes back(2 * kSu);
+    auto r = Completion::Create();
+    img.AioRead(back, 0, r);
+    co_await r->Wait();
+    CO_ASSERT_OK(r->status());
+    CO_ASSERT_TRUE(r->trace() != nullptr);
+    EXPECT_TRUE(back == data);
+    EXPECT_GE(crypto_ns(r), fmt->CryptoCost(kSu));
+    EXPECT_LT(crypto_ns(r), fmt->CryptoCost(2 * kSu));
+    *done = true;
+  }(&done));
+  sched.Run();
+  EXPECT_TRUE(done);
+}
+
+// The codec half of the same contract: with compression on, each chunk
+// feeds only its own covering blocks through the codec, on its object's
+// core, so a 2-chunk write's exclusive kCompress time is one chunk's
+// CompressCost and a 2-chunk read's stays below the summed DecompressCost.
+TEST(Striping, ChunksChargeCodecConcurrentlyWithCoreModelOff) {
+  constexpr uint64_t kSu = 16 * 1024;
+  sim::Scheduler sched;
+  sched.ConfigureCores(0);  // overrides VDE_SIM_CORES in the .mc4 shard
+  bool done = false;
+  sched.Spawn([](bool* done) -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    ImageOptions opts = StripedImage(kSu, 4);
+    opts.enc.compression.codec = core::Compression::kLz;
+    opts.obs.enabled = true;
+    auto image = co_await Image::Create(**cluster, "codec", "pw", opts);
+    CO_ASSERT_OK(image.status());
+    Image& img = **image;
+    const auto fmt = core::MakeFormat(opts.enc, Bytes(core::kMasterKeySize),
+                                      kObjSize);
+    CO_ASSERT_TRUE(fmt != nullptr);
+    const auto compress_ns = [](const CompletionPtr& c) {
+      return c->trace()
+          ->stage_ns()[static_cast<size_t>(obs::Stage::kCompress)];
+    };
+
+    // Compressible payload, so every block is stored compressed and the
+    // read expands all of them.
+    Bytes data(2 * kSu);
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<uint8_t>((i / 64) % 7);
+    }
+    auto w = Completion::Create();
+    img.AioWrite(data, 0, w);
+    co_await w->Wait();
+    CO_ASSERT_OK(w->status());
+    CO_ASSERT_TRUE(w->trace() != nullptr);
+    EXPECT_EQ(compress_ns(w), fmt->CompressCost(kSu));
+
+    Bytes back(2 * kSu);
+    auto r = Completion::Create();
+    img.AioRead(back, 0, r);
+    co_await r->Wait();
+    CO_ASSERT_OK(r->status());
+    CO_ASSERT_TRUE(r->trace() != nullptr);
+    EXPECT_TRUE(back == data);
+    EXPECT_GE(compress_ns(r), fmt->DecompressCost(kSu));
+    EXPECT_LT(compress_ns(r), 2 * fmt->DecompressCost(kSu));
+    *done = true;
+  }(&done));
+  sched.Run();
+  EXPECT_TRUE(done);
+}
+
+// Write-zeroes with a partial edge block on each of two objects: each chunk
+// decrypts and re-encrypts only its own edge, on its own object's core, so
+// the two chunks' edge charges overlap instead of adding up.
+TEST(Striping, WriteZeroesEdgesChargeConcurrentlyWithCoreModelOff) {
+  constexpr uint64_t kSu = 16 * 1024;
+  sim::Scheduler sched;
+  sched.ConfigureCores(0);  // overrides VDE_SIM_CORES in the .mc4 shard
+  bool done = false;
+  sched.Spawn([](bool* done) -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    CO_ASSERT_OK(cluster.status());
+    ImageOptions opts = StripedImage(kSu, 4);
+    opts.obs.enabled = true;
+    auto image = co_await Image::Create(**cluster, "zero", "pw", opts);
+    CO_ASSERT_OK(image.status());
+    Image& img = **image;
+    const auto fmt = core::MakeFormat(opts.enc, Bytes(core::kMasterKeySize),
+                                      kObjSize);
+    CO_ASSERT_TRUE(fmt != nullptr);
+
+    Rng rng(73);
+    Bytes data = rng.RandomBytes(2 * kSu);
+    auto w = Completion::Create();
+    img.AioWrite(data, 0, w);
+    co_await w->Wait();
+    CO_ASSERT_OK(w->status());
+
+    // [kBlk/2, 2*kSu - kBlk/2): object 0's chunk has a partial head block,
+    // object 1's a partial tail block; each edge is read back (one block
+    // decrypt) and rewritten (one block encrypt).
+    const uint64_t off = kBlk / 2;
+    const uint64_t len = 2 * kSu - kBlk;
+    auto z = Completion::Create();
+    img.AioWriteZeroes(off, len, z);
+    co_await z->Wait();
+    CO_ASSERT_OK(z->status());
+    CO_ASSERT_TRUE(z->trace() != nullptr);
+    const sim::SimTime one_edge = 2 * fmt->CryptoCost(kBlk);
+    const sim::SimTime crypto_ns =
+        z->trace()->stage_ns()[static_cast<size_t>(obs::Stage::kCrypto)];
+    EXPECT_GE(crypto_ns, one_edge);
+    EXPECT_LT(crypto_ns, 2 * one_edge);
+
+    std::fill(data.begin() + static_cast<long>(off),
+              data.begin() + static_cast<long>(off + len), 0);
+    Bytes back(2 * kSu);
+    auto r = Completion::Create();
+    img.AioRead(back, 0, r);
+    co_await r->Wait();
+    CO_ASSERT_OK(r->status());
+    EXPECT_TRUE(back == data);
+    *done = true;
+  }(&done));
+  sched.Run();
+  EXPECT_TRUE(done);
 }
 
 }  // namespace
