@@ -765,15 +765,18 @@ class RandomIvFormat final : public EncryptionFormat {
   size_t EncryptBlock(uint64_t lba, ByteSpan plain, MutByteSpan cipher,
                       MutByteSpan meta_out) {
     const size_t header = HeaderBytes();
-    Bytes packed;
+    // Left uninitialised: a compressed payload is the codec's stream plus
+    // the zero pad written below, so no byte is read before it is written.
+    uint8_t packed[kBlockSize];
     ByteSpan payload = plain;
     if (header > 0) {
       compress_stats_.in_bytes += plain.size();
-      packed.resize(CompressLimit());
-      const size_t clen = LzCompress(plain, packed);
+      const size_t clen =
+          LzCompress(plain, MutByteSpan(packed, CompressLimit()));
       if (clen > 0) {
-        packed.resize(StoredLen(clen), 0);  // zero-pad up to the cipher floor
-        payload = packed;
+        // Zero-pad up to the cipher floor.
+        std::memset(packed + clen, 0, StoredLen(clen) - clen);
+        payload = ByteSpan(packed, StoredLen(clen));
         compress_stats_.compressed_blocks++;
         compress_stats_.stored_bytes += payload.size();
         meta_out[0] = static_cast<uint8_t>(spec_.compression.codec);
@@ -847,12 +850,10 @@ class RandomIvFormat final : public EncryptionFormat {
     const ByteSpan hdr = ByteSpan(meta.data(), header);
     const ByteSpan base = meta.subspan(header);
     const bool compressed = codec != static_cast<uint8_t>(Compression::kNone);
-    Bytes scratch;
-    MutByteSpan dst = plain;
-    if (compressed) {
-      scratch.resize(cipher.size());
-      dst = scratch;
-    }
+    // The cipher writes all of `dst` before Expand reads it.
+    uint8_t packed[kBlockSize];
+    const MutByteSpan dst =
+        compressed ? MutByteSpan(packed, cipher.size()) : plain;
     if (spec_.mode == CipherMode::kGcmRandom) {
       uint8_t aad[8 + kCompressHeaderSize];
       StoreU64Le(aad, lba);
@@ -862,7 +863,7 @@ class RandomIvFormat final : public EncryptionFormat {
                       base.subspan(crypto::kGcmIvSize))) {
         return Status::Corruption("GCM authentication failed");
       }
-      return compressed ? Expand(ByteSpan(scratch).first(clen), plain)
+      return compressed ? Expand(ByteSpan(packed, clen), plain)
                         : Status::Ok();
     }
     if (spec_.integrity == Integrity::kHmac) {
@@ -883,7 +884,7 @@ class RandomIvFormat final : public EncryptionFormat {
     LbaMask(lba, tweak);
     for (size_t i = 0; i < kIvSize; ++i) tweak[i] ^= base[i];
     xts_->Decrypt(ByteSpan(tweak, 16), cipher, dst);
-    return compressed ? Expand(ByteSpan(scratch).first(clen), plain)
+    return compressed ? Expand(ByteSpan(packed, clen), plain)
                       : Status::Ok();
   }
 

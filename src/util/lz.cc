@@ -1,5 +1,7 @@
 #include "util/lz.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace vde {
@@ -10,10 +12,38 @@ constexpr size_t kMaxOffset = 65535;
 constexpr size_t kHashBits = 12;
 constexpr size_t kHashSize = size_t{1} << kHashBits;
 
-inline uint32_t Hash4(const uint8_t* p) {
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
+  return v;
+}
+
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline uint32_t Hash4(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of `a` and `b`, at most `limit` bytes:
+// 8 bytes per step, the first differing byte found from the XOR.
+inline size_t CommonPrefix(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t x = Load64(a + len) ^ Load64(b + len);
+    if (x != 0) {
+      const int bits = std::endian::native == std::endian::little
+                           ? std::countr_zero(x)
+                           : std::countl_zero(x);
+      return len + static_cast<size_t>(bits) / 8;
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) len++;
+  return len;
 }
 
 // Emits one token + extension bytes for `value` with the LZ4 convention:
@@ -34,10 +64,10 @@ bool PutLength(size_t value, MutByteSpan out, size_t& pos) {
 
 size_t LzCompress(ByteSpan in, MutByteSpan out) {
   if (in.empty()) return 0;
+  if (in.size() > kMaxOffset + 1) return 0;  // 64 KiB blocks max by design
   uint16_t table[kHashSize];  // positions + 1; 0 = empty
   static_assert(kHashSize * sizeof(uint16_t) <= 8192, "stack-friendly");
   std::memset(table, 0, sizeof(table));
-  if (in.size() > kMaxOffset + 1) return 0;  // 64 KiB blocks max by design
 
   const uint8_t* src = in.data();
   const size_t n = in.size();
@@ -67,19 +97,27 @@ size_t LzCompress(ByteSpan in, MutByteSpan out) {
     return true;
   };
 
-  while (i + kMinMatch <= n) {
-    const uint32_t h = Hash4(src + i);
+  // Positions with kMinMatch bytes left to hash: [0, scan_end).
+  const size_t scan_end = n >= kMinMatch ? n - kMinMatch + 1 : 0;
+  while (i < scan_end) {
+    const uint32_t cur = Load32(src + i);
+    const uint32_t h = Hash4(cur);
     const size_t cand = table[h];  // position + 1
     table[h] = static_cast<uint16_t>(i + 1);
-    if (cand != 0 && std::memcmp(src + cand - 1, src + i, kMinMatch) == 0) {
+    // An empty slot probes src[0] (in bounds, since n >= 4) and is masked
+    // out, so the common no-match case costs one well-predicted branch.
+    const bool hit =
+        (cand != 0) & (Load32(src + std::max<size_t>(cand, 1) - 1) == cur);
+    if (hit) [[unlikely]] {
       const size_t match_pos = cand - 1;
-      size_t len = kMinMatch;
-      while (i + len < n && src[match_pos + len] == src[i + len]) len++;
+      const size_t len =
+          kMinMatch + CommonPrefix(src + match_pos + kMinMatch,
+                                   src + i + kMinMatch, n - i - kMinMatch);
       if (!emit(i, len, i - match_pos)) return 0;
       i += len;
       anchor = i;
       // Re-seed the table at the match tail so adjacent runs keep matching.
-      if (i + kMinMatch <= n) table[Hash4(src + i - 1)] =
+      if (i < scan_end) table[Hash4(Load32(src + i - 1))] =
           static_cast<uint16_t>(i);
     } else {
       i++;
@@ -123,7 +161,14 @@ Status LzDecompress(ByteSpan in, MutByteSpan out) {
     std::memcpy(out.data() + o, src + i, lit);
     i += lit;
     o += lit;
-    if (i == n) break;  // final record: literals only
+    if (i == n) {
+      // Final record: literals only. The compressor never leaves a match
+      // length on it, so one that does is a malformed stream.
+      if ((tok & 0x0f) != 0) {
+        return Status::Corruption("lz: final record carries a match length");
+      }
+      break;
+    }
     if (i + 2 > n) return Status::Corruption("lz: truncated match offset");
     const size_t off = static_cast<size_t>(src[i]) |
                        static_cast<size_t>(src[i + 1]) << 8;
@@ -137,10 +182,22 @@ Status LzDecompress(ByteSpan in, MutByteSpan out) {
     if (o + ml > out.size()) {
       return Status::Corruption("lz: output overflow (match)");
     }
-    // Byte-wise copy: overlapping matches (off < ml) replicate runs.
+    // Overlapping matches (off < ml) replicate a run of period `off`.
     const uint8_t* from = out.data() + o - off;
     uint8_t* to = out.data() + o;
-    for (size_t k = 0; k < ml; ++k) to[k] = from[k];
+    if (off == 1) {
+      std::memset(to, *from, ml);
+    } else {
+      // Chunks never overlap their source. The output from `from` on
+      // repeats with period `off`; once k bytes of the match are written
+      // (k stays a multiple of `off`), the off + k bytes at `from` are
+      // exactly the next off + k to write. So chunks double, and a match
+      // with off >= ml is a single memcpy.
+      for (size_t k = 0, c = 0; k < ml; k += c) {
+        c = std::min(off + k, ml - k);
+        std::memcpy(to + k, from, c);
+      }
+    }
     o += ml;
   }
   if (o != out.size()) {

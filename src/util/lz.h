@@ -13,6 +13,16 @@
 // The codec is honest about incompressibility: Compress returns 0 whenever
 // the encoded stream would not fit `out`, and callers are expected to store
 // such blocks verbatim.
+//
+// Frozen stream: the parse is fixed — a 12-bit multiplicative hash of the
+// next 4 bytes, the table updated at every scanned position, the first
+// candidate taken greedily and extended as far as it matches, and the table
+// re-seeded at each match tail. The compressed length it yields is stored
+// in the per-block record, decides the slot-tail trim, and feeds the sim
+// clock's codec and store charges, so any change to the bytes this codec
+// emits (for any input and any `out` capacity) is a declared rebaseline,
+// never a side effect of a speed-up. The unit tests pin the stream against
+// a bytewise reference copy of the original codec.
 #pragma once
 
 #include <cstddef>
