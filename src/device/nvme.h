@@ -1,5 +1,10 @@
 // Simulated NVMe device: sparse RAM data plane + a calibrated cost model.
 //
+// The data plane is a copy-on-write SparseRam: the OSDs of one acting set
+// hold a single shared copy of each replicated page (PokeAdopt), and any
+// write to a shared page copies it first. Sharing is host memory only; the
+// cost model charges every device exactly as if it held its own copy.
+//
 // Cost model per IO: acquire one of `channels` parallel channels, pay a
 // fixed per-op latency plus size/bandwidth transfer time. Constants default
 // to a datacenter NVMe similar to the paper's testbed drives and are
@@ -39,6 +44,16 @@ class NvmeDevice final : public BlockDevice {
   // object store to make committed state visible instantly while the device
   // cost is charged by the background applier via Charge*().
   void PokeWrite(uint64_t offset, ByteSpan data) { ram_.WriteAt(offset, data); }
+  // PokeWrite of whole pages by reference: installs `pages` from
+  // page-aligned `offset`, shared with every other device that adopts them.
+  void PokeAdopt(uint64_t offset, std::span<const PageRef> pages) {
+    ram_.Adopt(offset, pages);
+  }
+  // The refs of `count` whole pages from page-aligned `offset`, for
+  // PokeAdopt (null refs for holes).
+  std::vector<PageRef> PeekPages(uint64_t offset, size_t count) const {
+    return ram_.Share(offset, count);
+  }
   void PeekRead(uint64_t offset, MutByteSpan out) const {
     ram_.ReadAt(offset, out);
   }

@@ -110,7 +110,7 @@ Status ObjectStore::TamperObjectData(const std::string& oid, uint64_t offset,
                                      ByteSpan data) {
   const auto it = objects_.find(oid);
   if (it == objects_.end()) return Status::NotFound(oid);
-  if (offset + data.size() > config_.max_object_size) {
+  if (OutOfObject(offset, data.size())) {
     return Status::InvalidArgument("tamper beyond object extent");
   }
   // Raw tampering bypasses the transaction path on purpose: no journal,
@@ -132,7 +132,7 @@ Result<Bytes> ObjectStore::PeekObjectData(const std::string& oid,
                                           size_t length) const {
   const auto it = objects_.find(oid);
   if (it == objects_.end()) return Status::NotFound(oid);
-  if (offset + length > config_.max_object_size) {
+  if (OutOfObject(offset, length)) {
     return Status::InvalidArgument("peek beyond object extent");
   }
   Bytes out(length);
@@ -146,6 +146,23 @@ sim::Task<Result<Bytes>> ObjectStore::PeekOmapRow(const std::string& oid,
   VDE_CO_RETURN_IF_ERROR(row.status());
   if (!row->has_value()) co_return Status::NotFound("omap row");
   co_return std::move(**row);
+}
+
+bool ObjectStore::OutOfObject(uint64_t offset, uint64_t length) const {
+  // Two comparisons, not `offset + length > max`: a hostile offset near
+  // 2^64 must not wrap the sum back inside the extent.
+  return offset > config_.max_object_size ||
+         length > config_.max_object_size - offset;
+}
+
+void ObjectStore::PokeData(uint64_t abs_offset, const OsdOp& op) {
+  size_t adopted = 0;
+  if (!op.pages.empty() && abs_offset % dev::kPageSize == 0) {
+    assert(op.pages.size() * dev::kPageSize <= op.data.size());
+    device_->PokeAdopt(abs_offset, op.pages);
+    adopted = op.pages.size() * dev::kPageSize;
+  }
+  device_->PokeWrite(abs_offset + adopted, ByteSpan(op.data).subspan(adopted));
 }
 
 Result<ObjectStore::Onode*> ObjectStore::GetOrCreate(const std::string& oid) {
@@ -244,16 +261,26 @@ sim::Task<Status> ObjectStore::MaybeClone(const std::string& oid, Onode& node,
   if (node.size > 0) {
     // Copy only the live runs: trimmed ranges read zeros through the
     // clone's own trimmed map, so materializing zero pages for them would
-    // waste the sparseness TRIM just bought.
+    // waste the sparseness TRIM just bought. A run whose source and
+    // destination are page-aligned adopts the head's pages (copy-on-write
+    // keeps the two apart); the rest is copied.
     uint64_t pos = 0;
     Bytes run;
     for (auto it = node.trimmed.begin(); pos < node.size; ++it) {
       const uint64_t run_end =
           it == node.trimmed.end() ? node.size : std::min(it->first, node.size);
       if (pos < run_end) {
-        run.resize(run_end - pos);
-        device_->PeekRead(data_base_ + node.base + pos, run);
-        device_->PokeWrite(data_base_ + clone.base + pos, run);
+        const uint64_t src = data_base_ + node.base + pos;
+        const uint64_t dst = data_base_ + clone.base + pos;
+        uint64_t shared = 0;
+        if (src % dev::kPageSize == 0 && dst % dev::kPageSize == 0) {
+          const size_t count = (run_end - pos) / dev::kPageSize;
+          device_->PokeAdopt(dst, device_->PeekPages(src, count));
+          shared = count * dev::kPageSize;
+        }
+        run.resize(run_end - pos - shared);
+        device_->PeekRead(src + shared, run);
+        device_->PokeWrite(dst + shared, run);
       }
       if (it == node.trimmed.end()) break;
       pos = it->first + it->second;
@@ -439,7 +466,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
       case OsdOp::Type::kCreate:
         break;  // GetOrCreate already materialized the object
       case OsdOp::Type::kWrite: {
-        if (op.offset + op.data.size() > config_.max_object_size) {
+        if (OutOfObject(op.offset, op.data.size())) {
           co_return Status::InvalidArgument("write beyond max object size");
         }
         // Rewriting a trimmed range re-backs its punched sectors and takes
@@ -447,7 +474,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         stats_.bytes_restored += alloc_->Restore(node.base + op.offset,
                                                  op.data.size());
         IntervalMapRemove(node.trimmed, op.offset, op.data.size());
-        device_->PokeWrite(data_base_ + node.base + op.offset, op.data);
+        PokeData(data_base_ + node.base + op.offset, op);
         node.size = std::max(node.size, op.offset + op.data.size());
         appliers_.Add(1);
         sim::Scheduler::Current().Spawn(ChargeApply(
@@ -461,7 +488,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         }
         stats_.bytes_restored += alloc_->Restore(node.base, op.data.size());
         node.trimmed.clear();
-        device_->PokeWrite(data_base_ + node.base, op.data);
+        PokeData(data_base_ + node.base, op);
         node.size = op.data.size();
         appliers_.Add(1);
         sim::Scheduler::Current().Spawn(
@@ -470,7 +497,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         break;
       }
       case OsdOp::Type::kZero: {
-        if (op.offset + op.length > config_.max_object_size) {
+        if (OutOfObject(op.offset, op.length)) {
           co_return Status::InvalidArgument("zero beyond max object size");
         }
         // Punch instead of writing zero pages: reads return zeros either
@@ -481,7 +508,7 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         break;
       }
       case OsdOp::Type::kTrim: {
-        if (op.offset + op.length > config_.max_object_size) {
+        if (OutOfObject(op.offset, op.length)) {
           co_return Status::InvalidArgument("trim beyond max object size");
         }
         // Tracked discard: the range enters the trimmed-extent map (reads
@@ -538,7 +565,11 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
   const auto it = objects_.find(txn.oid);
 
   // Resolve which data extent / omap namespace / trimmed map serves `snap`.
-  uint64_t base = 0, size = 0;
+  // A head extent spans max_object_size; a clone's spans only the `size`
+  // bytes it captured, and bytes past them read as zeros (the device range
+  // beyond belongs to whatever extent comes next).
+  uint64_t base = 0;
+  uint64_t backed = config_.max_object_size;
   SnapId omap_ns = kHeadSnap;
   bool exists = false;
   const TrimmedMap* trimmed = nullptr;
@@ -546,7 +577,6 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
     const Onode& node = it->second;
     if (snap == kHeadSnap) {
       base = node.base;
-      size = node.size;
       trimmed = &node.trimmed;
       exists = true;
     } else {
@@ -560,12 +590,11 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
       }
       if (chosen != nullptr) {
         base = chosen->base;
-        size = chosen->size;
+        backed = chosen->size;
         omap_ns = chosen->covers_up_to;
         trimmed = &chosen->trimmed;
       } else {
         base = node.base;
-        size = node.size;
         trimmed = &node.trimmed;
       }
       exists = true;
@@ -586,6 +615,9 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
       if (!exists) {
         co_return Status::NotFound(txn.oid);
       }
+      if (OutOfObject(op.offset, op.length)) {
+        co_return Status::InvalidArgument("read beyond max object size");
+      }
       // Trimmed-read fast path: a range fully inside the trimmed-extent
       // map is zeros by definition — no device IO, no device-time charge.
       if (trimmed != nullptr &&
@@ -596,7 +628,7 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
         continue;
       }
       tasks.push_back([](ObjectStore* self, const OsdOp* op, uint64_t base,
-                         obs::TraceContext* trace,
+                         uint64_t backed, obs::TraceContext* trace,
                          OpOut* out) -> sim::Task<void> {
         const uint32_t sector = self->device_->sector_size();
         const uint64_t abs = self->data_base_ + base + op->offset;
@@ -611,8 +643,14 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
           out->data.assign(
               covered.begin() + static_cast<long>(abs - first),
               covered.begin() + static_cast<long>(abs - first + op->length));
+          if (op->offset + op->length > backed) {
+            const uint64_t keep =
+                op->offset < backed ? backed - op->offset : 0;
+            std::fill(out->data.begin() + static_cast<long>(keep),
+                      out->data.end(), 0);
+          }
         }
-      }(this, &op, base, txn.trace, &outs[i]));
+      }(this, &op, base, backed, txn.trace, &outs[i]));
     } else if (op.type == OsdOp::Type::kOmapGetRange) {
       tasks.push_back([](ObjectStore* self, const std::string oid,
                          const OsdOp* op, SnapId ns,
@@ -651,7 +689,6 @@ sim::Task<Result<ReadResult>> ObjectStore::ExecuteReadLocked(
     AppendBytes(result.data, out.data);
     for (auto& kv : out.omap) result.omap_values.push_back(std::move(kv));
   }
-  (void)size;
   co_return result;
 }
 

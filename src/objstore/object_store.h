@@ -10,14 +10,18 @@
 //      them (the KV store's WAL is the one replayed log).
 //   2. State becomes visible immediately (data plane is RAM); OMAP mutations
 //      go through the LSM store synchronously (they ARE the OMAP cost).
+//      Whole pages the client built once (OsdOp::pages) are adopted by
+//      reference, so the replicas of a write share one copy-on-write copy.
 //   3. A background applier charges the final-location device IO, including
 //      read-modify-write of partial head/tail sectors — the cost the paper's
 //      "unaligned" layout keeps paying.
 //
 // Snapshots: clone-on-first-write-after-snap. A clone captures object data
-// AND its OMAP rows (random IVs stored via OMAP must remain readable for
-// old snapshots; object-end IVs travel with the data for free — see
-// "The per-block record and its three geometries" in docs/ARCHITECTURE.md).
+// (sharing the head's pages where aligned) AND its OMAP rows (random IVs
+// stored via OMAP must remain readable for old snapshots; object-end IVs
+// travel with the data for free — see "The per-block record and its three
+// geometries" in docs/ARCHITECTURE.md). Bytes past a clone's captured size
+// read as zeros.
 #pragma once
 
 #include <map>
@@ -190,6 +194,13 @@ class ObjectStore : public std::enable_shared_from_this<ObjectStore> {
 
   sim::Task<Status> Init();
   Result<Onode*> GetOrCreate(const std::string& oid);
+  // True when [offset, offset + length) leaves a max_object_size extent.
+  bool OutOfObject(uint64_t offset, uint64_t length) const;
+  // Makes a data op's payload visible at device-absolute `abs_offset`: its
+  // whole pages are adopted (one copy shared with the other replicas) when
+  // the op carries them and `abs_offset` is page-aligned; every other byte
+  // is copied.
+  void PokeData(uint64_t abs_offset, const OsdOp& op);
   // Per-object lock (RADOS orders ops per object): transactions are
   // exclusive — an Onode reference held across a suspension point cannot
   // be invalidated by a concurrent remove, and readers never observe a

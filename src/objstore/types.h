@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "device/sparse_ram.h"
 #include "util/bytes.h"
 
 namespace vde::obs {
@@ -52,6 +53,10 @@ struct OsdOp {
   uint64_t offset = 0;
   uint64_t length = 0;
   Bytes data;
+  // Optional: data's whole pages, built once by the client so the primary
+  // and every replica adopt one shared copy (kWrite at a page-aligned
+  // offset, kWriteFull). Stores that cannot adopt copy `data` instead.
+  std::vector<dev::PageRef> pages;
   std::vector<std::pair<Bytes, Bytes>> omap_kvs;
   Bytes omap_start;
   Bytes omap_end;

@@ -203,6 +203,16 @@ sim::Task<Status> IoCtx::Operate(const std::string& oid,
                                  const objstore::SnapContext& snapc) {
   txn.oid = oid;
   txn.tenant = tenant_;
+  // One page-granular copy of each data payload, adopted by the primary and
+  // every replica; only ops whose object offset is page-aligned can line up
+  // with a store's pages.
+  for (auto& op : txn.ops) {
+    if (op.type == objstore::OsdOp::Type::kWriteFull ||
+        (op.type == objstore::OsdOp::Type::kWrite &&
+         op.offset % dev::kPageSize == 0)) {
+      op.pages = dev::MakePages(op.data);
+    }
+  }
   const auto& config = cluster_->config();
   co_await sim::Sleep{config.client_op_cost};
   const uint32_t pg = cluster_->client_map().PgOf(oid);

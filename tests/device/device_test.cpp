@@ -43,6 +43,143 @@ TEST(SparseRam, PartialPageWritePreservesNeighbors) {
   EXPECT_EQ(out[110], 0xAA);
 }
 
+// --- Copy-on-write shared pages ---
+
+bool AllZero(ByteSpan bytes) {
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](uint8_t b) { return b == 0; });
+}
+
+Bytes ReadBack(const SparseRam& ram, uint64_t offset, size_t length) {
+  Bytes out(length);
+  ram.ReadAt(offset, out);
+  return out;
+}
+
+// Two RAMs (two replicas) adopt the same two pages; the test keeps its own
+// refs too, standing in for the transaction that built them.
+struct SharedPair {
+  Bytes data = Rng(3).RandomBytes(2 * kPageSize);
+  std::vector<PageRef> pages = MakePages(data);
+  SparseRam a{1 << 20};
+  SparseRam b{1 << 20};
+
+  SharedPair() {
+    a.Adopt(0, pages);
+    b.Adopt(0, pages);
+  }
+};
+
+TEST(SparseRam, MakePagesCopiesOnlyWholePages) {
+  const Bytes data = Rng(1).RandomBytes(2 * kPageSize + 100);
+  const auto pages = MakePages(data);
+  ASSERT_EQ(pages.size(), 2u);
+  EXPECT_TRUE(std::equal(pages[1]->data, pages[1]->data + kPageSize,
+                         data.begin() + kPageSize));
+}
+
+TEST(SparseRam, AdoptSharesPagesAcrossRams) {
+  SharedPair p;
+  EXPECT_EQ(p.pages[0].use_count(), 3);
+  EXPECT_EQ(p.a.Share(0, 1)[0].get(), p.pages[0].get());
+  EXPECT_EQ(ReadBack(p.a, 0, p.data.size()), p.data);
+  EXPECT_EQ(ReadBack(p.b, 0, p.data.size()), p.data);
+}
+
+TEST(SparseRam, PartialWriteCopiesASharedPage) {
+  SharedPair p;
+  p.a.WriteAt(100, Bytes(10, 0xEE));
+  EXPECT_NE(p.a.Share(0, 1)[0].get(), p.pages[0].get());
+  EXPECT_EQ(p.pages[0].use_count(), 2);  // the test's ref and b's
+  EXPECT_EQ(ReadBack(p.b, 0, p.data.size()), p.data);
+  Bytes want = p.data;
+  std::fill(want.begin() + 100, want.begin() + 110, 0xEE);
+  EXPECT_EQ(ReadBack(p.a, 0, want.size()), want);
+  // The page a did not touch is still shared.
+  EXPECT_EQ(p.a.Share(kPageSize, 1)[0].get(), p.pages[1].get());
+}
+
+TEST(SparseRam, PartialPunchCopiesASharedPage) {
+  SharedPair p;
+  p.a.Punch(kPageSize + 8, 64);
+  EXPECT_NE(p.a.Share(kPageSize, 1)[0].get(), p.pages[1].get());
+  EXPECT_EQ(ReadBack(p.b, 0, p.data.size()), p.data);
+  EXPECT_TRUE(AllZero(ReadBack(p.a, kPageSize + 8, 64)));
+  EXPECT_EQ(ReadBack(p.a, kPageSize, 8),
+            Bytes(p.data.begin() + kPageSize, p.data.begin() + kPageSize + 8));
+}
+
+TEST(SparseRam, PunchOfAZeroRangeKeepsThePageShared) {
+  // A zero-padded slot whose tail is trimmed in the same transaction: the
+  // punch changes no byte, so it must not copy the page.
+  Bytes data = Rng(4).RandomBytes(kPageSize);
+  std::fill(data.begin() + 1000, data.end(), 0);
+  const auto pages = MakePages(data);
+  SparseRam ram(1 << 20);
+  ram.Adopt(0, pages);
+  ram.Punch(1000, kPageSize - 1000);
+  EXPECT_EQ(ram.Share(0, 1)[0].get(), pages[0].get());
+  EXPECT_EQ(ReadBack(ram, 0, kPageSize), data);
+}
+
+TEST(SparseRam, FullPageOverwriteReplacesASharedPage) {
+  SharedPair p;
+  const Bytes fresh(kPageSize, 0x5A);
+  p.a.WriteAt(0, fresh);
+  EXPECT_NE(p.a.Share(0, 1)[0].get(), p.pages[0].get());
+  EXPECT_EQ(ReadBack(p.a, 0, kPageSize), fresh);
+  EXPECT_EQ(ReadBack(p.b, 0, p.data.size()), p.data);
+  EXPECT_TRUE(std::equal(p.pages[0]->data, p.pages[0]->data + kPageSize,
+                         p.data.begin()));
+}
+
+TEST(SparseRam, WholePagePunchDropsOnlyThisRamsRef) {
+  SharedPair p;
+  p.a.Punch(0, kPageSize);
+  EXPECT_EQ(p.pages[0].use_count(), 2);
+  EXPECT_EQ(p.a.allocated_pages(), 1u);
+  EXPECT_TRUE(AllZero(ReadBack(p.a, 0, kPageSize)));
+  EXPECT_EQ(ReadBack(p.b, 0, p.data.size()), p.data);
+}
+
+TEST(SparseRam, UniquePageIsWrittenInPlace) {
+  SparseRam ram(1 << 20);
+  ram.Adopt(0, MakePages(Bytes(kPageSize, 1)));  // the RAM's ref is the only one
+  const PageRef before = ram.Share(0, 1)[0];
+  const Page* page = before.get();
+  ram.WriteAt(10, Bytes(5, 2));  // `before` makes the page shared: copy
+  EXPECT_NE(ram.Share(0, 1)[0].get(), page);
+  const Page* copy = ram.Share(0, 1)[0].get();
+  ram.WriteAt(20, Bytes(5, 3));  // now unique: in place
+  ram.WriteAt(0, Bytes(kPageSize, 4));
+  EXPECT_EQ(ram.Share(0, 1)[0].get(), copy);
+  EXPECT_EQ(before->data[10], 1);
+}
+
+TEST(SparseRam, AdoptingAHoleReleasesThePage) {
+  SparseRam ram(1 << 20);
+  ram.WriteAt(kPageSize, Bytes(kPageSize, 9));
+  ram.Adopt(0, std::vector<PageRef>(2));
+  EXPECT_EQ(ram.allocated_pages(), 0u);
+  EXPECT_TRUE(AllZero(ReadBack(ram, 0, 2 * kPageSize)));
+}
+
+TEST(Nvme, PokeWriteOnOneDeviceLeavesTheOtherCopy) {
+  // The tamper hooks reach a device through PokeWrite: on a page another
+  // device shares, the write lands on this device's private copy.
+  NvmeDevice d1, d2;
+  const Bytes data = Rng(5).RandomBytes(4 * kPageSize);
+  const auto pages = MakePages(data);
+  d1.PokeAdopt(8 * kPageSize, pages);
+  d2.PokeAdopt(8 * kPageSize, d1.PeekPages(8 * kPageSize, pages.size()));
+  d1.PokeWrite(9 * kPageSize + 7, Bytes(3, 0xFF));
+  Bytes out(data.size());
+  d2.PeekRead(8 * kPageSize, out);
+  EXPECT_EQ(out, data);
+  d1.PeekRead(8 * kPageSize, out);
+  EXPECT_EQ(out[kPageSize + 7], 0xFF);
+}
+
 sim::Task<void> DoIo(NvmeDevice& dev, std::vector<Status>* results) {
   Rng rng(7);
   const Bytes data = rng.RandomBytes(8192);

@@ -376,6 +376,148 @@ TEST(ObjectStore, WriteBeyondMaxObjectRejected) {
   });
 }
 
+// A hostile offset near 2^64 must not wrap the bounds check back inside
+// the extent: every data op, and both raw-access hooks, reject it.
+TEST(ObjectStore, WrappingOffsetsRejectedForEveryDataOp) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    const Bytes a(4096, 0xAA);
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, a), {}));
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("b", 0, Bytes(4096, 0xBB)), {}));
+    const uint64_t hostile = ~uint64_t{0} - 4095;  // 2^64 - 4096
+
+    EXPECT_EQ((co_await os.Apply(WriteTxn("b", hostile, Bytes(8192, 0xEE)),
+                                 {}))
+                  .code(),
+              StatusCode::kInvalidArgument);
+    for (const OsdOp::Type type : {OsdOp::Type::kZero, OsdOp::Type::kTrim}) {
+      Transaction txn = ReadTxn("b", hostile, 8192);
+      txn.ops[0].type = type;
+      EXPECT_EQ((co_await os.Apply(txn, {})).code(),
+                StatusCode::kInvalidArgument);
+    }
+    auto read = co_await os.ExecuteRead(ReadTxn("b", hostile, 8192), kHeadSnap);
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(os.TamperObjectData("b", hostile, Bytes(8192, 0xEE)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(os.PeekObjectData("b", hostile, 8192).status().code(),
+              StatusCode::kInvalidArgument);
+
+    // Neither object's bytes moved.
+    auto got_a = os.PeekObjectData("a", 0, 4096);
+    auto got_b = os.PeekObjectData("b", 0, 4096);
+    CO_ASSERT_OK(got_a.status());
+    CO_ASSERT_OK(got_b.status());
+    EXPECT_EQ(*got_a, a);
+    EXPECT_EQ(*got_b, Bytes(4096, 0xBB));
+  });
+}
+
+TEST(ObjectStore, HeadReadPastMaxObjectSizeRejected) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, Bytes(16, 0xAA)), {}));
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("b", 0, Bytes(4096, 0xBB)), {}));
+    const uint64_t max = SmallStore().max_object_size;
+    auto past = co_await os.ExecuteRead(ReadTxn("a", max, 4096), kHeadSnap);
+    EXPECT_EQ(past.status().code(), StatusCode::kInvalidArgument);
+    auto straddle =
+        co_await os.ExecuteRead(ReadTxn("a", max - 4096, 8192), kHeadSnap);
+    EXPECT_EQ(straddle.status().code(), StatusCode::kInvalidArgument);
+    auto last = co_await os.ExecuteRead(ReadTxn("a", max - 4096, 4096),
+                                        kHeadSnap);
+    CO_ASSERT_OK(last.status());
+  });
+}
+
+// A clone's extent holds only the bytes it captured; a snapshot read past
+// them must read zeros, not the extent the store allocated next.
+TEST(ObjectStore, SnapshotReadPastCloneSizeReadsZeros) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    const Bytes v1(16, 0xA1);
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, v1), {}));
+    SnapContext snapc{5, {5}};
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, Bytes(16, 0xA2)), snapc));
+    CO_ASSERT_EQ(os.CloneCount("a"), 1u);
+    // `b` is allocated right behind a's 4 KiB clone extent.
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("b", 0, Bytes(8192, 0xBB)), {}));
+
+    auto beyond = co_await os.ExecuteRead(ReadTxn("a", 4096, 4096), 5);
+    CO_ASSERT_OK(beyond.status());
+    EXPECT_EQ(beyond->data, Bytes(4096, 0));
+    auto straddle = co_await os.ExecuteRead(ReadTxn("a", 0, 8192), 5);
+    CO_ASSERT_OK(straddle.status());
+    Bytes want(8192, 0);
+    std::copy(v1.begin(), v1.end(), want.begin());
+    EXPECT_EQ(straddle->data, want);
+  });
+}
+
+// Page refs on a data op: two stores (two replicas) adopt one copy, and a
+// tamper on one leaves the other's bytes alone. An op whose device offset
+// is not page-aligned falls back to copying, with the same bytes.
+TEST(ObjectStore, SharedPageRefsStayIndependentPerStore) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme1 = std::make_shared<dev::NvmeDevice>();
+    auto nvme2 = std::make_shared<dev::NvmeDevice>();
+    auto store1 = co_await ObjectStore::Open(nvme1, SmallStore());
+    auto store2 = co_await ObjectStore::Open(nvme2, SmallStore());
+    auto& s1 = **store1;
+    auto& s2 = **store2;
+    const Bytes data = Rng(12).RandomBytes(16 * 4096 + 300);
+    for (const uint64_t off : {uint64_t{0}, uint64_t{512}}) {
+      Transaction txn = WriteTxn("p", off, data);
+      txn.ops[0].pages = dev::MakePages(data);
+      CO_ASSERT_OK(co_await s1.Apply(txn, {}));
+      CO_ASSERT_OK(co_await s2.Apply(txn, {}));
+      CO_ASSERT_OK(s1.TamperObjectData("p", off + 4096 + 1, Bytes(2, 0)));
+      auto got1 = s1.PeekObjectData("p", off, data.size());
+      auto got2 = s2.PeekObjectData("p", off, data.size());
+      CO_ASSERT_OK(got1.status());
+      CO_ASSERT_OK(got2.status());
+      EXPECT_EQ(*got2, data) << "offset " << off;
+      Bytes tampered = data;
+      tampered[4096 + 1] = tampered[4096 + 2] = 0;
+      EXPECT_EQ(*got1, tampered) << "offset " << off;
+    }
+  });
+}
+
+// The clone adopts the head's pages; rewriting the head afterwards, by
+// partial writes, whole pages and trims, leaves the snapshot intact.
+TEST(ObjectStore, CloneSharingSurvivesHeadRewrites) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    Rng rng(13);
+    const Bytes v1 = rng.RandomBytes(16 * 4096 + 100);
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("c", 0, v1), {}));
+    SnapContext snapc{3, {3}};
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("c", 100, Bytes(10, 1)), snapc));
+    CO_ASSERT_OK(
+        co_await os.Apply(WriteTxn("c", 8192, Bytes(4096, 2)), snapc));
+    Transaction trim = ReadTxn("c", 5 * 4096, 3 * 4096);
+    trim.ops[0].type = OsdOp::Type::kTrim;
+    CO_ASSERT_OK(co_await os.Apply(trim, snapc));
+    CO_ASSERT_OK(os.TamperObjectData("c", 16 * 4096 + 1, Bytes(5, 3)));
+    auto old = co_await os.ExecuteRead(ReadTxn("c", 0, v1.size()), 3);
+    CO_ASSERT_OK(old.status());
+    EXPECT_EQ(old->data, v1);
+    auto head = co_await os.ExecuteRead(ReadTxn("c", 0, 4096 * 3), kHeadSnap);
+    CO_ASSERT_OK(head.status());
+    EXPECT_EQ(head->data[100], 1);
+    EXPECT_EQ(head->data[8192], 2);
+  });
+}
+
 // --- Tracked discard (kTrim) ---
 
 Transaction TrimTxn(const std::string& oid, uint64_t off, uint64_t len) {

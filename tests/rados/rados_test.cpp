@@ -206,5 +206,45 @@ TEST(Cluster, DeviceStatsAggregate) {
   });
 }
 
+// The acting set shares one copy of a page-aligned write; tampering with
+// any one member (a partial page or a whole one) must leave the other two
+// members' bytes as written.
+TEST(Cluster, ReplicasStayIndependentUnderSharedPages) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await Cluster::Create(SmallCluster());
+    CO_ASSERT_OK(cluster.status());
+    auto io = (*cluster)->ioctx();
+    const Bytes data = Rng(21).RandomBytes(64 * 1024);
+    for (size_t victim = 0; victim < 3; ++victim) {
+      const std::string oid = "shared" + std::to_string(victim);
+      objstore::Transaction txn;
+      objstore::OsdOp op;
+      op.type = objstore::OsdOp::Type::kWrite;
+      op.offset = 0;
+      op.length = data.size();
+      op.data = data;
+      txn.ops.push_back(std::move(op));
+      CO_ASSERT_OK(co_await io.Operate(oid, std::move(txn), {}));
+
+      const auto acting = (*cluster)->placement().OsdsFor(oid);
+      CO_ASSERT_EQ(acting.size(), 3u);
+      auto& target = (*cluster)->osd(acting[victim]).store();
+      CO_ASSERT_OK(target.TamperObjectData(oid, 4096 + 9, Bytes(3, 0xEE)));
+      CO_ASSERT_OK(target.TamperObjectData(oid, 8192, Bytes(4096, 0xDD)));
+      for (size_t m = 0; m < acting.size(); ++m) {
+        auto got = (*cluster)->osd(acting[m]).store().PeekObjectData(
+            oid, 0, data.size());
+        CO_ASSERT_OK(got.status());
+        if (m == victim) {
+          EXPECT_EQ((*got)[4096 + 9], 0xEE);
+          EXPECT_EQ((*got)[8192], 0xDD);
+        } else {
+          EXPECT_EQ(*got, data) << "member " << m << ", victim " << victim;
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 }  // namespace vde::rados

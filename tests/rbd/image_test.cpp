@@ -237,6 +237,87 @@ TEST(Image, MultipleSnapshotsLayered) {
   });
 }
 
+// A 16-byte write leaves the object-end IV rows of blocks 256 and up past
+// the 4 KiB-rounded extent the clone captures. In a snapshot read those
+// rows must read as zeros (never-written blocks), not as the bytes of the
+// extent the OSD allocated next.
+TEST(Image, SnapshotReadOfUnwrittenBlocksReadsZeros) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    rados::ClusterConfig config = TestCluster();
+    config.osds_per_node = 1;  // every OSD holds every object
+    auto cluster = co_await rados::Cluster::Create(config);
+    auto image = co_await Image::Create(
+        **cluster, "bound", "pw",
+        TestImage(Spec(core::CipherMode::kXtsRandom,
+                       core::IvLayout::kObjectEnd)));
+    CO_ASSERT_OK(image.status());
+    auto& img = **image;
+    Rng rng(17);
+    const Bytes v1 = rng.RandomBytes(16);
+    CO_ASSERT_OK(co_await img.Write(0, v1));
+    auto snap = co_await img.SnapCreate("s");
+    CO_ASSERT_OK(snap.status());
+    CO_ASSERT_OK(co_await img.Write(0, rng.RandomBytes(16)));
+    CO_ASSERT_OK(co_await img.Flush());
+    // Object 1 lands right behind object 0's clone on every OSD.
+    const uint64_t obj = img.object_size();
+    CO_ASSERT_OK(co_await img.Write(obj, rng.RandomBytes(obj)));
+    CO_ASSERT_OK(co_await img.Flush());
+
+    auto old = co_await img.Read(0, obj, *snap);
+    CO_ASSERT_OK(old.status());
+    Bytes want(obj, 0);
+    std::copy(v1.begin(), v1.end(), want.begin());
+    size_t bad_blocks = 0;
+    for (uint64_t b = 0; b < obj / 4096; ++b) {
+      if (!std::equal(old->begin() + static_cast<long>(b * 4096),
+                      old->begin() + static_cast<long>((b + 1) * 4096),
+                      want.begin() + static_cast<long>(b * 4096))) {
+        bad_blocks++;
+      }
+    }
+    EXPECT_EQ(bad_blocks, 0u);
+  });
+}
+
+// Replicas hold one shared copy of the page-aligned ciphertext, but a
+// tampered primary must fail authentication while the replicas' bytes stay
+// exactly as written.
+TEST(Image, TamperedPrimaryFailsAuthReplicasKeepTheirCopy) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto image = co_await Image::Create(
+        **cluster, "cow", "pw",
+        TestImage(Spec(core::CipherMode::kGcmRandom,
+                       core::IvLayout::kObjectEnd)));
+    CO_ASSERT_OK(image.status());
+    auto& img = **image;
+    const Bytes data = Rng(18).RandomBytes(64 * 1024);
+    CO_ASSERT_OK(co_await img.Write(0, data));
+    CO_ASSERT_OK(co_await img.Flush());
+    co_await (*cluster)->Drain();
+
+    const std::string oid = img.ObjectName(0);
+    const auto acting = (*cluster)->placement().OsdsFor(oid);
+    CO_ASSERT_EQ(acting.size(), 3u);
+    auto& primary = (*cluster)->osd(acting[0]).store();
+    auto before = primary.PeekObjectData(oid, 0, data.size());
+    CO_ASSERT_OK(before.status());
+    CO_ASSERT_OK(primary.TamperObjectData(oid, 4096 + 5, Bytes(1, 0x5A ^
+                                          (*before)[4096 + 5])));
+
+    auto read = co_await img.Read(4096, 4096);
+    EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+        << read.status().ToString();
+    for (size_t r = 1; r < acting.size(); ++r) {
+      auto replica = (*cluster)->osd(acting[r]).store().PeekObjectData(
+          oid, 0, data.size());
+      CO_ASSERT_OK(replica.status());
+      EXPECT_EQ(*replica, *before) << "replica osd " << acting[r];
+    }
+  });
+}
+
 TEST(Image, CiphertextOnWireDiffersFromPlain) {
   // The whole point of client-side encryption: bytes leaving the client are
   // never plaintext. Check the object store's raw content.
