@@ -101,11 +101,11 @@ class DeterministicFormat final : public EncryptionFormat {
       case CipherMode::kNone:
         break;
       case CipherMode::kXtsLba:
-        xts_.emplace(crypto::Backend::kOpenssl, master_key);
+        xts_.emplace(master_key);
         break;
       case CipherMode::kXtsEssiv:
-        xts_.emplace(crypto::Backend::kOpenssl, master_key);
-        essiv_.emplace(crypto::Backend::kOpenssl, master_key);
+        xts_.emplace(master_key);
+        essiv_.emplace(master_key);
         break;
       case CipherMode::kWideLba:
         wide_.emplace(ByteSpan(DeriveSubkey(master_key, "wide-block", 64)));
@@ -214,13 +214,11 @@ class RandomIvFormat final : public EncryptionFormat {
       : EncryptionFormat(spec),
         object_size_(object_size),
         rng_(spec.iv_seed == 0 ? crypto::Drbg() : crypto::Drbg(spec.iv_seed)),
-        iv_mask_(crypto::MakeAes(crypto::Backend::kOpenssl,
-                                 DeriveSubkey(master_key, "iv-mask", 32))) {
+        iv_mask_(DeriveSubkey(master_key, "iv-mask", 32)) {
     if (spec_.mode == CipherMode::kGcmRandom) {
-      gcm_.emplace(crypto::Backend::kOpenssl,
-                   DeriveSubkey(master_key, "gcm", 32));
+      gcm_.emplace(DeriveSubkey(master_key, "gcm", 32));
     } else {
-      xts_.emplace(crypto::Backend::kOpenssl, master_key);
+      xts_.emplace(master_key);
       if (spec_.integrity == Integrity::kHmac) {
         hmac_key_ = DeriveSubkey(master_key, "integrity", 32);
       }
@@ -740,7 +738,7 @@ class RandomIvFormat final : public EncryptionFormat {
   void LbaMask(uint64_t lba, uint8_t mask[16]) const {
     uint8_t block[16] = {};
     StoreU64Le(block, lba);
-    iv_mask_->EncryptBlock(block, mask);
+    iv_mask_.EncryptBlock(block, mask);
   }
 
   // Per-block metadata header bytes (compression on: [codec][stored u16le]).
@@ -899,7 +897,7 @@ class RandomIvFormat final : public EncryptionFormat {
 
   uint64_t object_size_;
   crypto::Drbg rng_;
-  std::unique_ptr<crypto::BlockCipher> iv_mask_;
+  crypto::Aes iv_mask_;
   std::optional<crypto::XtsCipher> xts_;
   std::optional<crypto::GcmCipher> gcm_;
   Bytes hmac_key_;

@@ -17,6 +17,7 @@
 
 #include "core/discard_bitmap.h"
 #include "core/types.h"
+#include "crypto/aes.h"
 #include "crypto/essiv.h"
 #include "crypto/gcm.h"
 #include "crypto/hmac.h"

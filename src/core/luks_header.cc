@@ -31,7 +31,7 @@ Bytes ComputeDigest(ByteSpan master_key, ByteSpan salt, uint32_t iterations) {
 // Encrypt/decrypt AF-split material sector-by-sector with the slot key.
 void CryptSplitMaterial(ByteSpan key, ByteSpan in, MutByteSpan out,
                         bool encrypt) {
-  crypto::XtsCipher xts(crypto::Backend::kOpenssl, key);
+  crypto::XtsCipher xts(key);
   const size_t unit = 4096;
   size_t off = 0;
   uint64_t sector = 0;
@@ -165,6 +165,18 @@ Result<LuksHeader> LuksHeader::Deserialize(ByteSpan data) {
   header.params_.pbkdf2_iterations = LoadU32Le(data.data() + 4);
   header.params_.af_stripes = LoadU32Le(data.data() + 8);
   off = 12;
+  // Unlock divides by the stripe count and PBKDF2 needs an iteration; a
+  // slot's material must be exactly the AF-split master key, so no XTS unit
+  // falls under 16 bytes. Refuse anything else before a cipher sees it.
+  if (header.params_.pbkdf2_iterations == 0) {
+    return Status::Corruption("luks pbkdf2 iterations");
+  }
+  // The bound keeps the product within the u32 length field: no overflow.
+  const size_t stripes = header.params_.af_stripes;
+  if (stripes == 0 || stripes > UINT32_MAX / kMasterKeySize) {
+    return Status::Corruption("luks af stripes");
+  }
+  const size_t wrapped_size = stripes * kMasterKeySize;
   if (!need(kSaltSize + kDigestSize)) return Status::Corruption("luks digest");
   header.digest_salt_.assign(data.begin() + static_cast<long>(off),
                              data.begin() + static_cast<long>(off + kSaltSize));
@@ -182,7 +194,9 @@ Result<LuksHeader> LuksHeader::Deserialize(ByteSpan data) {
     off += kSaltSize;
     const uint32_t wrapped_len = LoadU32Le(data.data() + off);
     off += 4;
-    if (!need(wrapped_len)) return Status::Corruption("luks slot material");
+    if (wrapped_len != wrapped_size || !need(wrapped_len)) {
+      return Status::Corruption("luks slot material");
+    }
     slot.wrapped.assign(data.begin() + static_cast<long>(off),
                         data.begin() + static_cast<long>(off + wrapped_len));
     off += wrapped_len;

@@ -1,34 +1,32 @@
-// From-scratch AES-128/192/256 block cipher (FIPS-197).
-//
-// Byte-oriented reference implementation: correctness and portability over
-// speed. The OpenSSL EVP backend (openssl_backend.h) provides an AES-NI
-// accelerated path behind the same BlockCipher interface; tests
-// cross-validate the two on random inputs.
+// AES-128/192/256 single-block cipher (FIPS-197) on OpenSSL EVP, AES-NI when
+// the CPU has it. ESSIV and the random-IV formats' LBA mask run it one block
+// at a time; XTS and GCM use their own EVP modes (xts.h, gcm.h).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
-#include "crypto/block_cipher.h"
 #include "util/bytes.h"
+
+struct evp_cipher_ctx_st;  // OpenSSL's EVP_CIPHER_CTX, kept out of this header
 
 namespace vde::crypto {
 
-class SoftAes final : public BlockCipher {
+class Aes {
  public:
   // `key` must be 16, 24 or 32 bytes.
-  explicit SoftAes(ByteSpan key);
+  explicit Aes(ByteSpan key);
+  ~Aes();
 
-  void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const override;
-  void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const override;
-  size_t key_size() const override { return key_size_; }
+  Aes(const Aes&) = delete;
+  Aes& operator=(const Aes&) = delete;
+
+  void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const;
+  void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
  private:
-  static constexpr int kMaxRounds = 14;
-  int rounds_ = 0;
-  size_t key_size_ = 0;
-  // Round keys, 4 words per round + initial.
-  std::array<uint32_t, 4 * (kMaxRounds + 1)> rk_{};
+  // One ECB context per direction, keyed once.
+  evp_cipher_ctx_st* enc_;
+  evp_cipher_ctx_st* dec_;
 };
 
 }  // namespace vde::crypto

@@ -1,20 +1,15 @@
 #include "crypto/essiv.h"
 
-#include <cstring>
-
 #include "crypto/sha256.h"
 
 namespace vde::crypto {
 
-Essiv::Essiv(Backend backend, ByteSpan key) {
-  const auto digest = Sha256::Digest(key);
-  cipher_ = MakeAes(backend, digest);
-}
+Essiv::Essiv(ByteSpan key) : cipher_(Sha256::Digest(key)) {}
 
 void Essiv::DeriveIv(uint64_t sector, uint8_t out[16]) const {
   uint8_t block[16] = {};
   StoreU64Le(block, sector);
-  cipher_->EncryptBlock(block, out);
+  cipher_.EncryptBlock(block, out);
 }
 
 }  // namespace vde::crypto

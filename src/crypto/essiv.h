@@ -5,9 +5,7 @@
 // paper targets. Included as a baseline variant for the leakage tests.
 #pragma once
 
-#include <memory>
-
-#include "crypto/block_cipher.h"
+#include "crypto/aes.h"
 #include "util/bytes.h"
 
 namespace vde::crypto {
@@ -15,13 +13,13 @@ namespace vde::crypto {
 class Essiv {
  public:
   // `key` is the data-encryption key; the ESSIV key is its SHA-256 digest.
-  Essiv(Backend backend, ByteSpan key);
+  explicit Essiv(ByteSpan key);
 
   // 16-byte IV for `sector`.
   void DeriveIv(uint64_t sector, uint8_t out[16]) const;
 
  private:
-  std::unique_ptr<BlockCipher> cipher_;
+  Aes cipher_;
 };
 
 }  // namespace vde::crypto

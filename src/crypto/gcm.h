@@ -5,15 +5,13 @@
 // 16-byte tag, both of which the virtual-disk metadata can store. Used by the
 // integrity extension in src/core.
 //
-// Backend::kOpenssl runs OpenSSL's EVP AES-GCM (AES-NI + carry-less multiply
-// GHASH when the CPU has them), one context per direction reused across
-// calls. Backend::kSoft is the in-tree reference: CTR over the
-// BlockCipher interface plus a bit-serial GHASH; tests check the two agree.
+// Runs OpenSSL's EVP AES-GCM (AES-NI + carry-less multiply GHASH when the
+// CPU has them), one context per direction reused across calls.
 #pragma once
 
 #include <memory>
 
-#include "crypto/block_cipher.h"
+#include "crypto/backend.h"
 #include "util/bytes.h"
 
 namespace vde::crypto {
@@ -24,7 +22,9 @@ inline constexpr size_t kGcmTagSize = 16;
 class GcmCipher {
  public:
   // AES key, 16 or 32 bytes.
-  GcmCipher(Backend backend, ByteSpan key);
+  explicit GcmCipher(ByteSpan key);
+  // Kept only for perfbench/replay.cc (see crypto/backend.h).
+  GcmCipher(Backend, ByteSpan key) : GcmCipher(key) {}
   ~GcmCipher();
 
   GcmCipher(GcmCipher&&) noexcept;
@@ -42,21 +42,6 @@ class GcmCipher {
  private:
   struct EvpState;
 
-  void Ctr(const uint8_t j0[16], ByteSpan in, MutByteSpan out) const;
-  void Ghash(ByteSpan aad, ByteSpan cipher, uint8_t out[16]) const;
-  void SoftSeal(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutByteSpan out,
-                MutByteSpan tag) const;
-  bool SoftOpen(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutByteSpan out,
-                ByteSpan tag) const;
-  void EvpSeal(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutByteSpan out,
-               MutByteSpan tag) const;
-  bool EvpOpen(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutByteSpan out,
-               ByteSpan tag) const;
-
-  // Soft path.
-  std::unique_ptr<BlockCipher> cipher_;
-  uint8_t h_[16] = {};  // GHASH key = E_K(0^128)
-  // EVP path.
   std::unique_ptr<EvpState> evp_;
 };
 

@@ -3,170 +3,63 @@
 #include <openssl/evp.h>
 
 #include <cassert>
-#include <cstring>
+
+#include "crypto/evp_check.h"
 
 namespace vde::crypto {
 
+// EVP copies the key into its own schedule, so no copy of it outlives the
+// constructor.
 struct XtsCipher::EvpState {
-  EVP_CIPHER_CTX* enc = nullptr;
-  EVP_CIPHER_CTX* dec = nullptr;
-  Bytes key;
+  EVP_CIPHER_CTX* enc = EVP_CIPHER_CTX_new();
+  EVP_CIPHER_CTX* dec = EVP_CIPHER_CTX_new();
 
   ~EvpState() {
-    if (enc) EVP_CIPHER_CTX_free(enc);
-    if (dec) EVP_CIPHER_CTX_free(dec);
+    EVP_CIPHER_CTX_free(enc);
+    EVP_CIPHER_CTX_free(dec);
   }
 };
 
-XtsCipher::XtsCipher(Backend backend, ByteSpan key) : key_size_(key.size()) {
-  assert((key.size() == 32 || key.size() == 64) &&
-         "XTS key is key1||key2, 32 or 64 bytes total");
-  const size_t half = key.size() / 2;
-  if (backend == Backend::kSoft) {
-    data_cipher_ = MakeAes(backend, key.subspan(0, half));
-    tweak_cipher_ = MakeAes(backend, key.subspan(half));
-  } else {
-    evp_ = std::make_unique<EvpState>();
-    evp_->key.assign(key.begin(), key.end());
-    const EVP_CIPHER* cipher =
-        key.size() == 32 ? EVP_aes_128_xts() : EVP_aes_256_xts();
-    evp_->enc = EVP_CIPHER_CTX_new();
-    evp_->dec = EVP_CIPHER_CTX_new();
-    assert(evp_->enc && evp_->dec);
-    int rc = EVP_EncryptInit_ex(evp_->enc, cipher, nullptr, evp_->key.data(),
-                                nullptr);
-    assert(rc == 1);
-    rc = EVP_DecryptInit_ex(evp_->dec, cipher, nullptr, evp_->key.data(),
-                            nullptr);
-    assert(rc == 1);
-    (void)rc;
-  }
+XtsCipher::XtsCipher(ByteSpan key) : evp_(std::make_unique<EvpState>()) {
+  EvpCheck(key.size() == 32 || key.size() == 64,
+           "XTS key size (32 or 64 bytes)");
+  EvpCheck(evp_->enc != nullptr && evp_->dec != nullptr,
+           "XTS context allocation");
+  const EVP_CIPHER* cipher =
+      key.size() == 32 ? EVP_aes_128_xts() : EVP_aes_256_xts();
+  EvpCheck(EVP_EncryptInit_ex(evp_->enc, cipher, nullptr, key.data(),
+                              nullptr) == 1,
+           "XTS key setup");
+  EvpCheck(EVP_DecryptInit_ex(evp_->dec, cipher, nullptr, key.data(),
+                              nullptr) == 1,
+           "XTS key setup");
 }
 
 XtsCipher::~XtsCipher() = default;
 XtsCipher::XtsCipher(XtsCipher&&) noexcept = default;
 XtsCipher& XtsCipher::operator=(XtsCipher&&) noexcept = default;
 
-void XtsCipher::MulAlpha(uint8_t t[16]) {
-  // Little-endian polynomial: carry out of byte 15 feeds x^128 = x^7+x^2+x+1.
-  uint8_t carry = 0;
-  for (int i = 0; i < 16; ++i) {
-    const uint8_t next_carry = static_cast<uint8_t>(t[i] >> 7);
-    t[i] = static_cast<uint8_t>((t[i] << 1) | carry);
-    carry = next_carry;
-  }
-  if (carry) t[0] ^= 0x87;
-}
-
-void XtsCipher::SoftCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                          bool encrypt) const {
-  assert(in.size() >= kAesBlockSize);
+// EVP refuses a unit under 16 bytes, so that also stops here.
+void XtsCipher::Crypt(bool encrypt, ByteSpan tweak16, ByteSpan in,
+                      MutByteSpan out) const {
+  assert(tweak16.size() == 16);
   assert(in.size() == out.size());
-
-  uint8_t t[16];
-  tweak_cipher_->EncryptBlock(tweak16.data(), t);
-
-  const size_t full = in.size() / kAesBlockSize;
-  const size_t rem = in.size() % kAesBlockSize;
-  // Number of blocks processed in the straightforward loop.
-  const size_t plain_loop = rem == 0 ? full : full - 1;
-
-  auto crypt_block = [&](const uint8_t* src, uint8_t* dst,
-                         const uint8_t tweak[16]) {
-    uint8_t tmp[16];
-    for (int i = 0; i < 16; ++i) tmp[i] = src[i] ^ tweak[i];
-    if (encrypt) {
-      data_cipher_->EncryptBlock(tmp, tmp);
-    } else {
-      data_cipher_->DecryptBlock(tmp, tmp);
-    }
-    for (int i = 0; i < 16; ++i) dst[i] = tmp[i] ^ tweak[i];
-  };
-
-  size_t b = 0;
-  for (; b < plain_loop; ++b) {
-    crypt_block(in.data() + b * 16, out.data() + b * 16, t);
-    MulAlpha(t);
-  }
-
-  if (rem == 0) return;
-
-  // Ciphertext stealing over the final full block + partial tail.
-  const uint8_t* p_full = in.data() + b * 16;       // last full block
-  const uint8_t* p_part = in.data() + (b + 1) * 16;  // partial tail, rem bytes
-  uint8_t* c_full = out.data() + b * 16;
-  uint8_t* c_part = out.data() + (b + 1) * 16;
-
-  if (encrypt) {
-    uint8_t cc[16];
-    crypt_block(p_full, cc, t);  // tweak T_{n-1}
-    uint8_t t_next[16];
-    std::memcpy(t_next, t, 16);
-    MulAlpha(t_next);
-    uint8_t pp[16];
-    std::memcpy(pp, p_part, rem);
-    std::memcpy(pp + rem, cc + rem, 16 - rem);
-    // Write order matters if out aliases in: save the stolen prefix first.
-    uint8_t stolen[16];
-    std::memcpy(stolen, cc, rem);
-    crypt_block(pp, c_full, t_next);
-    std::memcpy(c_part, stolen, rem);
-  } else {
-    // Decrypt: the last full ciphertext block (read from `in`!) was made
-    // with tweak T_n; the stolen tail sits in the partial input block.
-    uint8_t t_next[16];
-    std::memcpy(t_next, t, 16);
-    MulAlpha(t_next);
-    uint8_t pp[16];
-    crypt_block(p_full, pp, t_next);  // = P_n || tail(CC)
-    uint8_t cc[16];
-    std::memcpy(cc, p_part, rem);
-    std::memcpy(cc + rem, pp + rem, 16 - rem);
-    uint8_t head[16];
-    std::memcpy(head, pp, rem);
-    crypt_block(cc, c_full, t);  // P_{n-1} with tweak T_{n-1}
-    std::memcpy(c_part, head, rem);
-  }
-}
-
-void XtsCipher::EvpCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                         bool encrypt) const {
   EVP_CIPHER_CTX* ctx = encrypt ? evp_->enc : evp_->dec;
-  int rc;
-  if (encrypt) {
-    rc = EVP_EncryptInit_ex(ctx, nullptr, nullptr, nullptr, tweak16.data());
-  } else {
-    rc = EVP_DecryptInit_ex(ctx, nullptr, nullptr, nullptr, tweak16.data());
-  }
-  assert(rc == 1);
   int out_len = 0;
-  if (encrypt) {
-    rc = EVP_EncryptUpdate(ctx, out.data(), &out_len, in.data(),
-                           static_cast<int>(in.size()));
-  } else {
-    rc = EVP_DecryptUpdate(ctx, out.data(), &out_len, in.data(),
-                           static_cast<int>(in.size()));
-  }
-  assert(rc == 1 && out_len == static_cast<int>(in.size()));
-  (void)rc;
+  EvpCheck(EVP_CipherInit_ex(ctx, nullptr, nullptr, nullptr, tweak16.data(),
+                             -1) == 1 &&
+               EVP_CipherUpdate(ctx, out.data(), &out_len, in.data(),
+                                static_cast<int>(in.size())) == 1 &&
+               out_len == static_cast<int>(in.size()),
+           "XTS crypt");
 }
 
 void XtsCipher::Encrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out) const {
-  assert(tweak16.size() == 16);
-  if (evp_) {
-    EvpCrypt(tweak16, in, out, /*encrypt=*/true);
-  } else {
-    SoftCrypt(tweak16, in, out, /*encrypt=*/true);
-  }
+  Crypt(/*encrypt=*/true, tweak16, in, out);
 }
 
 void XtsCipher::Decrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out) const {
-  assert(tweak16.size() == 16);
-  if (evp_) {
-    EvpCrypt(tweak16, in, out, /*encrypt=*/false);
-  } else {
-    SoftCrypt(tweak16, in, out, /*encrypt=*/false);
-  }
+  Crypt(/*encrypt=*/false, tweak16, in, out);
 }
 
 }  // namespace vde::crypto

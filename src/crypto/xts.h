@@ -5,11 +5,14 @@
 // affects the 16-byte sub-block it belongs to (paper §2.1). The tweak is the
 // 16-byte IV: LUKS2 derives it from the LBA; the paper's scheme draws it at
 // random per sector write and persists it.
+//
+// Runs OpenSSL's EVP AES-XTS (AES-NI when the CPU has it), one context per
+// direction keyed once and re-armed with the tweak on every call.
 #pragma once
 
 #include <memory>
 
-#include "crypto/block_cipher.h"
+#include "crypto/backend.h"
 #include "util/bytes.h"
 
 namespace vde::crypto {
@@ -17,8 +20,11 @@ namespace vde::crypto {
 class XtsCipher {
  public:
   // `key` is the concatenation key1 || key2, each 16 or 32 bytes
-  // (AES-128-XTS uses 32 total, AES-256-XTS uses 64 total).
-  XtsCipher(Backend backend, ByteSpan key);
+  // (AES-128-XTS uses 32 total, AES-256-XTS uses 64 total). The halves must
+  // differ: OpenSSL rejects equal halves, and the constructor aborts.
+  explicit XtsCipher(ByteSpan key);
+  // Kept only for perfbench/replay.cc (see crypto/backend.h).
+  XtsCipher(Backend, ByteSpan key) : XtsCipher(key) {}
   ~XtsCipher();
 
   XtsCipher(XtsCipher&&) noexcept;
@@ -29,25 +35,12 @@ class XtsCipher {
   void Encrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out) const;
   void Decrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out) const;
 
-  size_t key_size() const { return key_size_; }
-
-  // Multiply an XTS tweak block by alpha in GF(2^128) (little-endian
-  // convention). Exposed for tests.
-  static void MulAlpha(uint8_t t[16]);
-
  private:
   struct EvpState;
 
-  void SoftCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                 bool encrypt) const;
-  void EvpCrypt(ByteSpan tweak16, ByteSpan in, MutByteSpan out,
-                bool encrypt) const;
+  void Crypt(bool encrypt, ByteSpan tweak16, ByteSpan in,
+             MutByteSpan out) const;
 
-  size_t key_size_ = 0;
-  // Soft path: two AES instances (data key, tweak key).
-  std::unique_ptr<BlockCipher> data_cipher_;
-  std::unique_ptr<BlockCipher> tweak_cipher_;
-  // EVP path.
   std::unique_ptr<EvpState> evp_;
 };
 

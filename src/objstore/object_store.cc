@@ -489,6 +489,13 @@ sim::Task<Status> ObjectStore::ApplyLocked(const Transaction& txn,
         stats_.bytes_restored += alloc_->Restore(node.base, op.data.size());
         node.trimmed.clear();
         PokeData(data_base_ + node.base, op);
+        // A shrinking WriteFull truncates: the old tail reads as zeros, as
+        // it will in any later snapshot clone. Host-side only, so the sim
+        // clock does not move.
+        if (node.size > op.data.size()) {
+          device_->PokeTrim(data_base_ + node.base + op.data.size(),
+                            node.size - op.data.size());
+        }
         node.size = op.data.size();
         appliers_.Add(1);
         sim::Scheduler::Current().Spawn(

@@ -88,6 +88,59 @@ TEST(LuksHeader, CorruptBlobRejected) {
   EXPECT_FALSE(LuksHeader::Deserialize(truncated).ok());
 }
 
+// Field offsets in a serialized header: magic(4) pbkdf2_iterations(4)
+// af_stripes(4) digest_salt(32) digest(32), then per slot active(1) and, for
+// an active slot, salt(32) wrapped_len(4) wrapped.
+constexpr size_t kIterationsOff = 4;
+constexpr size_t kStripesOff = 8;
+constexpr size_t kSlot0WrappedLenOff = 12 + 32 + 32 + 1 + 32;
+
+// A one-slot header with FastParams (8 stripes), serialized.
+Bytes FormattedBlob(uint64_t seed) {
+  crypto::Drbg rng(seed);
+  const Bytes key = rng.Generate(kMasterKeySize);
+  return LuksHeader::Format(key, "pw", FastParams(), rng).Serialize();
+}
+
+StatusCode DeserializeCode(const Bytes& blob) {
+  return LuksHeader::Deserialize(blob).status().code();
+}
+
+// Unlock divides by the stripe count: zero must not get that far.
+TEST(LuksHeader, ZeroAfStripesRejected) {
+  Bytes blob = FormattedBlob(9);
+  ASSERT_EQ(DeserializeCode(blob), StatusCode::kOk);
+  StoreU32Le(blob.data() + kStripesOff, 0);
+  EXPECT_EQ(DeserializeCode(blob), StatusCode::kCorruption);
+}
+
+TEST(LuksHeader, ZeroPbkdf2IterationsRejected) {
+  Bytes blob = FormattedBlob(10);
+  StoreU32Le(blob.data() + kIterationsOff, 0);
+  EXPECT_EQ(DeserializeCode(blob), StatusCode::kCorruption);
+}
+
+// The slot material must be exactly af_stripes * kMasterKeySize bytes:
+// shorter (down to a final XTS unit under 16 bytes) or longer is refused,
+// and so is a stripe count that disagrees with the material, including
+// one whose product overflows the 32-bit length field.
+TEST(LuksHeader, WrappedLengthMismatchRejected) {
+  const Bytes blob = FormattedBlob(11);
+  ASSERT_EQ(LoadU32Le(blob.data() + kSlot0WrappedLenOff),
+            FastParams().af_stripes * kMasterKeySize);
+  for (const uint32_t len : {0u, 15u, 8u * 64 - 1, 8u * 64 + 1}) {
+    Bytes bad = blob;
+    StoreU32Le(bad.data() + kSlot0WrappedLenOff, len);
+    EXPECT_EQ(DeserializeCode(bad), StatusCode::kCorruption) << "len " << len;
+  }
+  for (const uint32_t stripes : {7u, 9u, 0x04000000u, 0xFFFFFFFFu}) {
+    Bytes bad = blob;
+    StoreU32Le(bad.data() + kStripesOff, stripes);
+    EXPECT_EQ(DeserializeCode(bad), StatusCode::kCorruption)
+        << "stripes " << stripes;
+  }
+}
+
 TEST(LuksHeader, SlotMaterialDoesNotLeakKey) {
   crypto::Drbg rng(8);
   const Bytes key = rng.Generate(kMasterKeySize);

@@ -2,11 +2,27 @@
 
 #include <gtest/gtest.h>
 
-#include "crypto/block_cipher.h"
+#include "oracle/aes.h"
 #include "util/rng.h"
 
 namespace vde::crypto {
 namespace {
+
+using oracle::SoftAes;
+
+// Runs `check` on the production cipher and on the oracle, both keyed with
+// `key`, each under its own trace.
+template <typename Check>
+void ForEachAes(ByteSpan key, Check check) {
+  {
+    SCOPED_TRACE("production");
+    check(Aes(key));
+  }
+  {
+    SCOPED_TRACE("oracle");
+    check(SoftAes(key));
+  }
+}
 
 // FIPS-197 Appendix C known-answer tests.
 struct Fips197Case {
@@ -19,29 +35,22 @@ class AesKat : public ::testing::TestWithParam<Fips197Case> {};
 
 TEST_P(AesKat, EncryptMatchesFips197) {
   const auto& p = GetParam();
-  SoftAes aes(FromHex(p.key));
   const Bytes pt = FromHex(p.plain);
-  uint8_t out[16];
-  aes.EncryptBlock(pt.data(), out);
-  EXPECT_EQ(ToHex(ByteSpan(out, 16)), p.cipher);
+  ForEachAes(FromHex(p.key), [&](const auto& aes) {
+    uint8_t out[16];
+    aes.EncryptBlock(pt.data(), out);
+    EXPECT_EQ(ToHex(ByteSpan(out, 16)), p.cipher);
+  });
 }
 
 TEST_P(AesKat, DecryptInverts) {
   const auto& p = GetParam();
-  SoftAes aes(FromHex(p.key));
   const Bytes ct = FromHex(p.cipher);
-  uint8_t out[16];
-  aes.DecryptBlock(ct.data(), out);
-  EXPECT_EQ(ToHex(ByteSpan(out, 16)), p.plain);
-}
-
-TEST_P(AesKat, OpensslBackendAgrees) {
-  const auto& p = GetParam();
-  auto aes = MakeAes(Backend::kOpenssl, FromHex(p.key));
-  const Bytes pt = FromHex(p.plain);
-  uint8_t out[16];
-  aes->EncryptBlock(pt.data(), out);
-  EXPECT_EQ(ToHex(ByteSpan(out, 16)), p.cipher);
+  ForEachAes(FromHex(p.key), [&](const auto& aes) {
+    uint8_t out[16];
+    aes.DecryptBlock(ct.data(), out);
+    EXPECT_EQ(ToHex(ByteSpan(out, 16)), p.plain);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -60,22 +69,22 @@ INSTANTIATE_TEST_SUITE_P(
 
 class AesCross : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(AesCross, SoftMatchesOpensslOnRandomInputs) {
+TEST_P(AesCross, OracleMatchesProductionOnRandomInputs) {
   const size_t key_size = GetParam();
   Rng rng(0xA55E5 + key_size);
   for (int trial = 0; trial < 50; ++trial) {
     const Bytes key = rng.RandomBytes(key_size);
-    SoftAes soft(key);
-    auto evp = MakeAes(Backend::kOpenssl, key);
+    const SoftAes soft(key);
+    const Aes evp(key);
     const Bytes pt = rng.RandomBytes(16);
     uint8_t a[16], b[16];
     soft.EncryptBlock(pt.data(), a);
-    evp->EncryptBlock(pt.data(), b);
+    evp.EncryptBlock(pt.data(), b);
     ASSERT_EQ(ToHex(ByteSpan(a, 16)), ToHex(ByteSpan(b, 16)))
         << "key=" << ToHex(key) << " pt=" << ToHex(pt);
     uint8_t da[16], db[16];
     soft.DecryptBlock(a, da);
-    evp->DecryptBlock(b, db);
+    evp.DecryptBlock(b, db);
     ASSERT_EQ(ToHex(ByteSpan(da, 16)), ToHex(pt));
     ASSERT_EQ(ToHex(ByteSpan(db, 16)), ToHex(pt));
   }
@@ -85,13 +94,14 @@ TEST_P(AesCross, RoundtripRandomKeys) {
   const size_t key_size = GetParam();
   Rng rng(0xBEEF + key_size);
   for (int trial = 0; trial < 100; ++trial) {
-    SoftAes aes(rng.RandomBytes(key_size));
     const Bytes pt = rng.RandomBytes(16);
-    uint8_t ct[16], back[16];
-    aes.EncryptBlock(pt.data(), ct);
-    aes.DecryptBlock(ct, back);
-    ASSERT_EQ(ToHex(ByteSpan(back, 16)), ToHex(pt));
-    ASSERT_NE(ToHex(ByteSpan(ct, 16)), ToHex(pt));
+    ForEachAes(rng.RandomBytes(key_size), [&](const auto& aes) {
+      uint8_t ct[16], back[16];
+      aes.EncryptBlock(pt.data(), ct);
+      aes.DecryptBlock(ct, back);
+      ASSERT_EQ(ToHex(ByteSpan(back, 16)), ToHex(pt));
+      ASSERT_NE(ToHex(ByteSpan(ct, 16)), ToHex(pt));
+    });
   }
 }
 
@@ -101,17 +111,11 @@ INSTANTIATE_TEST_SUITE_P(KeySizes, AesCross,
                            return "Key" + std::to_string(info.param * 8);
                          });
 
-TEST(Aes, KeySizeReported) {
-  Rng rng(3);
-  EXPECT_EQ(SoftAes(rng.RandomBytes(16)).key_size(), 16u);
-  EXPECT_EQ(SoftAes(rng.RandomBytes(32)).key_size(), 32u);
-}
-
 TEST(Aes, AvalancheOnPlaintextBit) {
   // Flipping one plaintext bit must flip ~half the ciphertext bits.
   Rng rng(5);
   const Bytes key = rng.RandomBytes(32);
-  SoftAes aes(key);
+  const Aes aes(key);
   Bytes pt = rng.RandomBytes(16);
   uint8_t c0[16], c1[16];
   aes.EncryptBlock(pt.data(), c0);
@@ -123,6 +127,14 @@ TEST(Aes, AvalancheOnPlaintextBit) {
   }
   EXPECT_GT(flipped, 40);
   EXPECT_LT(flipped, 88);
+}
+
+// A bad key size stops the process in every build type rather than leave
+// an unkeyed context behind (the check is not an assert).
+TEST(AesDeathTest, BadKeySizeAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH({ const Aes aes(Bytes(20, 0x42)); }, "AES key size");
+  EXPECT_DEATH({ const Aes aes(Bytes(64, 0x42)); }, "AES key size");
 }
 
 }  // namespace

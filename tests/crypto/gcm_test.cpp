@@ -7,15 +7,41 @@
 #include <string>
 #include <vector>
 
+#include "oracle/gcm.h"
 #include "util/rng.h"
 
 namespace vde::crypto {
 namespace {
 
-constexpr Backend kBackends[] = {Backend::kSoft, Backend::kOpenssl};
+// The oracle behind GcmCipher's shape, so a property test can run on both.
+class OracleGcm {
+ public:
+  explicit OracleGcm(ByteSpan key) : key_(key.begin(), key.end()) {}
+  void Seal(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutByteSpan out,
+            MutByteSpan tag) const {
+    oracle::GcmSeal(key_, iv, aad, plain, out, tag);
+  }
+  bool Open(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutByteSpan out,
+            ByteSpan tag) const {
+    return oracle::GcmOpen(key_, iv, aad, cipher, out, tag);
+  }
 
-const char* BackendName(Backend b) {
-  return b == Backend::kSoft ? "soft" : "openssl";
+ private:
+  Bytes key_;
+};
+
+// Runs `check` on the production cipher and on the oracle, both keyed with
+// `key`, each under its own trace.
+template <typename Check>
+void ForEachGcm(ByteSpan key, Check check) {
+  {
+    SCOPED_TRACE("production");
+    check(GcmCipher(key));
+  }
+  {
+    SCOPED_TRACE("oracle");
+    check(OracleGcm(key));
+  }
 }
 
 bool AllZero(const Bytes& b) {
@@ -25,7 +51,8 @@ bool AllZero(const Bytes& b) {
 // Opens with `out` pre-filled with junk and checks the failure contract:
 // false, and `out` zeroed, never partial plaintext. EVP decrypts before it
 // checks the tag, so the wipe is the cipher's job, not the caller's.
-void ExpectOpenFailsAndZeroes(const GcmCipher& gcm, ByteSpan iv, ByteSpan aad,
+template <typename Gcm>
+void ExpectOpenFailsAndZeroes(const Gcm& gcm, ByteSpan iv, ByteSpan aad,
                               ByteSpan ct, ByteSpan tag) {
   Bytes back(ct.size(), 0xAA);
   EXPECT_FALSE(gcm.Open(iv, aad, ct, back, tag));
@@ -36,16 +63,14 @@ void ExpectOpenFailsAndZeroes(const GcmCipher& gcm, ByteSpan iv, ByteSpan aad,
 TEST(Gcm, NistCase1EmptyPlaintext) {
   const Bytes key(16, 0x00);
   const Bytes iv(12, 0x00);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes tag(16);
     gcm.Seal(iv, {}, {}, {}, tag);
     EXPECT_EQ(ToHex(tag), "58e2fccefa7e3061367f1d57a4e7455a");
     EXPECT_TRUE(gcm.Open(iv, {}, {}, {}, tag));
     tag[15] ^= 0x01;
     EXPECT_FALSE(gcm.Open(iv, {}, {}, {}, tag));
-  }
+  });
 }
 
 // NIST GCM spec test case 2: 16 zero bytes.
@@ -53,9 +78,7 @@ TEST(Gcm, NistCase2SingleBlock) {
   const Bytes key(16, 0x00);
   const Bytes iv(12, 0x00);
   const Bytes pt(16, 0x00);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes ct(16), tag(16);
     gcm.Seal(iv, {}, pt, ct, tag);
     EXPECT_EQ(ToHex(ct), "0388dace60b6a392f328c2b971b2fe78");
@@ -63,7 +86,7 @@ TEST(Gcm, NistCase2SingleBlock) {
     Bytes back(16, 0xAA);
     ASSERT_TRUE(gcm.Open(iv, {}, ct, back, tag));
     EXPECT_EQ(back, pt);
-  }
+  });
 }
 
 TEST(Gcm, RoundtripWithAad) {
@@ -72,15 +95,13 @@ TEST(Gcm, RoundtripWithAad) {
   const Bytes iv = rng.RandomBytes(12);
   const Bytes aad = rng.RandomBytes(20);
   const Bytes pt = rng.RandomBytes(4096);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes ct(pt.size()), tag(16);
     gcm.Seal(iv, aad, pt, ct, tag);
     Bytes back(pt.size());
     ASSERT_TRUE(gcm.Open(iv, aad, ct, back, tag));
     EXPECT_EQ(back, pt);
-  }
+  });
 }
 
 TEST(Gcm, TamperedCiphertextRejected) {
@@ -88,14 +109,12 @@ TEST(Gcm, TamperedCiphertextRejected) {
   const Bytes key = rng.RandomBytes(32);
   const Bytes iv = rng.RandomBytes(12);
   const Bytes pt = rng.RandomBytes(128);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes ct(pt.size()), tag(16);
     gcm.Seal(iv, {}, pt, ct, tag);
     ct[50] ^= 0x01;
     ExpectOpenFailsAndZeroes(gcm, iv, {}, ct, tag);
-  }
+  });
 }
 
 TEST(Gcm, TamperedTagRejected) {
@@ -103,14 +122,12 @@ TEST(Gcm, TamperedTagRejected) {
   const Bytes key = rng.RandomBytes(16);
   const Bytes iv = rng.RandomBytes(12);
   const Bytes pt = rng.RandomBytes(64);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes ct(pt.size()), tag(16);
     gcm.Seal(iv, {}, pt, ct, tag);
     tag[0] ^= 0x80;
     ExpectOpenFailsAndZeroes(gcm, iv, {}, ct, tag);
-  }
+  });
 }
 
 TEST(Gcm, TamperedAadRejected) {
@@ -118,19 +135,19 @@ TEST(Gcm, TamperedAadRejected) {
   const Bytes key = rng.RandomBytes(16);
   const Bytes iv = rng.RandomBytes(12);
   const Bytes pt = rng.RandomBytes(64);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    Bytes aad = rng.RandomBytes(16);
-    GcmCipher gcm(backend, key);
+  const Bytes aad = rng.RandomBytes(16);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes ct(pt.size()), tag(16);
     gcm.Seal(iv, aad, pt, ct, tag);
-    aad[3] ^= 0x01;
-    ExpectOpenFailsAndZeroes(gcm, iv, aad, ct, tag);
-  }
+    Bytes bad_aad = aad;
+    bad_aad[3] ^= 0x01;
+    ExpectOpenFailsAndZeroes(gcm, iv, bad_aad, ct, tag);
+  });
 }
 
-// Cross-validate the soft reference against a one-shot OpenSSL GCM context.
-TEST(Gcm, MatchesOpensslEvp) {
+// Cross-validates the oracle against a one-shot OpenSSL GCM context, set up
+// independently of GcmCipher's reused ones.
+TEST(Gcm, OracleMatchesOneShotEvp) {
   Rng rng(64);
   for (int trial = 0; trial < 10; ++trial) {
     const Bytes key = rng.RandomBytes(32);
@@ -138,9 +155,8 @@ TEST(Gcm, MatchesOpensslEvp) {
     const Bytes aad = rng.RandomBytes(rng.NextBelow(48));
     const Bytes pt = rng.RandomBytes(1 + rng.NextBelow(1024));
 
-    GcmCipher ours(Backend::kSoft, key);
     Bytes our_ct(pt.size()), our_tag(16);
-    ours.Seal(iv, aad, pt, our_ct, our_tag);
+    oracle::GcmSeal(key, iv, aad, pt, our_ct, our_tag);
 
     EVP_CIPHER_CTX* ctx = EVP_CIPHER_CTX_new();
     ASSERT_TRUE(ctx);
@@ -170,13 +186,13 @@ TEST(Gcm, MatchesOpensslEvp) {
   }
 }
 
-// The EVP backend against the soft reference over the shapes the formats
-// use (8 B LBA AAD, 11 B LBA+compression-header AAD) and every AAD length
-// up to three blocks, plaintexts from empty to a full 4 KiB block with the
-// ragged tails in between. Seal and Open interleave on one object per
-// backend, so the reused EVP contexts see a fresh IV on every call and a
-// failed Open between two good ones.
-TEST(Gcm, OpensslMatchesSoftReference) {
+// The production cipher against the oracle over the shapes the formats use
+// (8 B LBA AAD, 11 B LBA+compression-header AAD) and every AAD length up to
+// three blocks, plaintexts from empty to a full 4 KiB block with the ragged
+// tails in between. Seal and Open interleave on one production object, so
+// its reused EVP contexts see a fresh IV on every call and a failed Open
+// between two good ones.
+TEST(Gcm, ProductionMatchesOracle) {
   std::vector<size_t> pt_lens;
   for (size_t n = 0; n <= 48; ++n) pt_lens.push_back(n);
   for (const size_t n : {63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512,
@@ -188,8 +204,8 @@ TEST(Gcm, OpensslMatchesSoftReference) {
   for (const size_t key_len : {16, 32}) {
     SCOPED_TRACE("key " + std::to_string(key_len));
     const Bytes key = rng.RandomBytes(key_len);
-    GcmCipher soft(Backend::kSoft, key);
-    GcmCipher evp(Backend::kOpenssl, key);
+    const OracleGcm soft(key);
+    const GcmCipher evp(key);
     for (size_t aad_len = 0; aad_len <= 48; ++aad_len) {
       const Bytes aad = rng.RandomBytes(aad_len);
       // The two format AAD shapes meet every plaintext length; the other
@@ -241,16 +257,21 @@ TEST(Gcm, IvReuseLeaksXorOfPlaintexts) {
   const Bytes iv = rng.RandomBytes(12);
   const Bytes p1 = rng.RandomBytes(64);
   const Bytes p2 = rng.RandomBytes(64);
-  for (const Backend backend : kBackends) {
-    SCOPED_TRACE(BackendName(backend));
-    GcmCipher gcm(backend, key);
+  ForEachGcm(key, [&](const auto& gcm) {
     Bytes c1(64), c2(64), t1(16), t2(16);
     gcm.Seal(iv, {}, p1, c1, t1);
     gcm.Seal(iv, {}, p2, c2, t2);
     for (size_t i = 0; i < 64; ++i) {
       EXPECT_EQ(c1[i] ^ c2[i], p1[i] ^ p2[i]);
     }
-  }
+  });
+}
+
+// A key size other than 16 or 32 bytes stops the process in every build
+// type.
+TEST(GcmDeathTest, BadKeySizeAborts) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH({ const GcmCipher gcm(Bytes(24, 0x42)); }, "GCM key size");
 }
 
 }  // namespace

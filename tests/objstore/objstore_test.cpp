@@ -460,6 +460,42 @@ TEST(ObjectStore, SnapshotReadPastCloneSizeReadsZeros) {
   });
 }
 
+// A shrinking WriteFull is a truncate, as in RADOS: the old tail reads as
+// zeros on the head and in a snapshot cloned afterwards, so the two agree.
+TEST(ObjectStore, ShrinkingWriteFullTruncates) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto nvme = std::make_shared<dev::NvmeDevice>();
+    auto store = co_await ObjectStore::Open(nvme, SmallStore());
+    auto& os = **store;
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, Bytes(8192, 0xAA)), {}));
+    Transaction full;
+    full.oid = "a";
+    OsdOp op;
+    op.type = OsdOp::Type::kWriteFull;
+    op.data = Bytes(4096, 0xBB);
+    full.ops.push_back(std::move(op));
+    CO_ASSERT_OK(co_await os.Apply(full, {}));
+    EXPECT_EQ(os.ObjectSize("a"), 4096u);
+
+    auto head = co_await os.ExecuteRead(ReadTxn("a", 0, 8192), kHeadSnap);
+    CO_ASSERT_OK(head.status());
+    Bytes want(8192, 0);
+    std::fill(want.begin(), want.begin() + 4096, 0xBB);
+    EXPECT_EQ(head->data, want);
+
+    // Snapshot 5, cloned by the next head write.
+    const SnapContext snapc{5, {5}};
+    CO_ASSERT_OK(co_await os.Apply(WriteTxn("a", 0, Bytes(16, 0xCC)), snapc));
+    CO_ASSERT_EQ(os.CloneCount("a"), 1u);
+    auto snap = co_await os.ExecuteRead(ReadTxn("a", 0, 8192), 5);
+    CO_ASSERT_OK(snap.status());
+    EXPECT_EQ(snap->data, want);
+    auto tail = co_await os.ExecuteRead(ReadTxn("a", 4096, 4096), kHeadSnap);
+    CO_ASSERT_OK(tail.status());
+    EXPECT_EQ(tail->data, Bytes(4096, 0));
+  });
+}
+
 // Page refs on a data op: two stores (two replicas) adopt one copy, and a
 // tamper on one leaves the other's bytes alone. An op whose device offset
 // is not page-aligned falls back to copying, with the same bytes.

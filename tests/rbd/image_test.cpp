@@ -471,6 +471,48 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
   });
 }
 
+// Hostile LUKS fields inside a well-formed (re-sealed) image header: Open
+// returns Corruption before any key derivation, cipher or divide runs on
+// them.
+TEST(Image, HostileLuksFieldsRejected) {
+  testutil::RunSim([]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(TestCluster());
+    auto image = co_await Image::Create(
+        **cluster, "luks", "pw",
+        TestImage(Spec(core::CipherMode::kXtsRandom,
+                       core::IvLayout::kObjectEnd)));
+    CO_ASSERT_OK(image.status());
+    auto header = co_await ReadHeader(**cluster, "luks");
+    CO_ASSERT_OK(header.status());
+    auto io = (*cluster)->ioctx();
+
+    // With no snapshots the LUKS blob follows magic, total_len, four u64
+    // geometry fields, the four spec bytes, snap_count and luks_len.
+    constexpr size_t kLuks = 4 + 4 + 4 * 8 + 4 + 4 + 4;
+    CO_ASSERT_EQ(LoadU32Le(header->data() + kLuks), 0x4C554B53u);  // "LUKS"
+    struct Patch {
+      const char* what;
+      size_t off;  // within the LUKS blob
+      uint32_t value;
+    };
+    for (const Patch p : {
+             Patch{"pbkdf2_iterations", 4, 0},
+             Patch{"af_stripes", 8, 0},
+             Patch{"wrapped_len", 12 + 32 + 32 + 1 + 32, 15},
+         }) {
+      Bytes bad = *header;
+      StoreU32Le(bad.data() + kLuks + p.off, p.value);
+      SealHeader(bad);
+      CO_ASSERT_OK(co_await io.WriteFull("rbd_header.luks", bad));
+      auto reopened = co_await Image::Open(**cluster, "luks", "pw");
+      EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption) << p.what;
+    }
+
+    CO_ASSERT_OK(co_await io.WriteFull("rbd_header.luks", *header));
+    CO_ASSERT_OK((co_await Image::Open(**cluster, "luks", "pw")).status());
+  });
+}
+
 TEST(Image, OversizedSnapshotNameRejected) {
   testutil::RunSim([]() -> sim::Task<void> {
     auto cluster = co_await rados::Cluster::Create(TestCluster());
