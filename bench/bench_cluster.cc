@@ -25,7 +25,6 @@
 // Usage: bench_cluster [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,11 +45,6 @@ rados::ClusterConfig ScaleCluster(size_t osds_per_node) {
   config.pg_count = 256;
   return config;
 }
-
-struct ScalePoint {
-  double iops = 0;
-  bool ok = false;
-};
 
 sim::Task<void> PrefillObjects(rados::Cluster& cluster, uint32_t objects,
                                size_t data_bytes) {
@@ -74,11 +68,11 @@ sim::Task<void> PrefillObjects(rados::Cluster& cluster, uint32_t objects,
   co_await wg.Wait();
 }
 
-void RunScalePoint(size_t osds_per_node, size_t workers,
-                   uint64_t reads_per_worker, uint32_t objects,
-                   ScalePoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+// Aggregate read IOPS of one scale point; 0 if a read failed.
+double RunScalePoint(size_t osds_per_node, size_t workers,
+                     uint64_t reads_per_worker, uint32_t objects) {
+  double iops = 0;
+  bench::RunSim([&]() -> sim::Task<void> {
     auto cluster = co_await rados::Cluster::Create(ScaleCluster(osds_per_node));
     if (!cluster.ok()) co_return;
     co_await PrefillObjects(**cluster, objects, 4096);
@@ -105,12 +99,10 @@ void RunScalePoint(size_t osds_per_node, size_t workers,
     co_await wg.Wait();
     const sim::SimTime elapsed = sim::Scheduler::Current().now() - t0;
     if (failed || elapsed == 0) co_return;
-    out->iops = static_cast<double>(workers * reads_per_worker) * 1e9 /
-                static_cast<double>(elapsed);
-    out->ok = true;
-  };
-  sched.Spawn(body());
-  sched.Run();
+    iops = static_cast<double>(workers * reads_per_worker) * 1e9 /
+           static_cast<double>(elapsed);
+  });
+  return iops;
 }
 
 // --- failure + recovery ---
@@ -131,16 +123,11 @@ sim::Task<void> KillOsdAfter(rados::Cluster& cluster, sim::SimTime at,
 }
 
 void RunFailurePoint(uint64_t ops, sim::SimTime kill_at, FailurePoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+  bench::RunSim([&]() -> sim::Task<void> {
     auto cluster = co_await rados::Cluster::Create(bench::PaperCluster());
     if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    auto image = co_await rbd::Image::Create(**cluster, "kill", "pw", options);
+    auto image = co_await rbd::Image::Create(**cluster, "kill", "pw",
+                                             bench::BenchImage(1ull << 30));
     if (!image.ok()) co_return;
 
     workload::FioConfig fio;
@@ -165,9 +152,7 @@ void RunFailurePoint(uint64_t ops, sim::SimTime kill_at, FailurePoint* out) {
     out->map_epoch = (*cluster)->placement().map().epoch();
     co_await (*cluster)->Drain();
     out->pass = out->run_ok && out->degraded_after == 0 && out->recovered > 0;
-  };
-  sched.Spawn(body());
-  sched.Run();
+  });
 }
 
 // --- cluster-side mClock noisy neighbor ---
@@ -208,8 +193,7 @@ sim::Task<void> MeasureVictim(rados::Cluster& cluster, uint64_t ops,
 
 void RunQosScenario(bool contended, bool mclock_on, uint64_t victim_ops,
                     QosPoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+  bench::RunSim([&]() -> sim::Task<void> {
     // 3 OSDs (one per node): few enough shards to flood. The aggressor's
     // service quantum is what bounds the victim's wait under mClock (no
     // preemption — the victim rides the next free shard), so the scenario
@@ -256,9 +240,7 @@ void RunQosScenario(bool contended, bool mclock_on, uint64_t victim_ops,
     stop = true;
     co_await wg.Wait();
     co_await (*cluster)->Drain();
-  };
-  sched.Spawn(body());
-  sched.Run();
+  });
 }
 
 // --- disabled-path identity ---
@@ -271,8 +253,7 @@ struct IdentityPoint {
 };
 
 void RunIdentityPoint(bool mclock_on, IdentityPoint* out) {
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+  out->end_time = bench::RunSim([&]() -> sim::Task<void> {
     rados::ClusterConfig config = ScaleCluster(3);
     config.qos.enabled = mclock_on;
     auto cluster = co_await rados::Cluster::Create(config);
@@ -310,26 +291,14 @@ void RunIdentityPoint(bool mclock_on, IdentityPoint* out) {
                           cs.skipped_replicas + rs.objects_pushed +
                           rs.inline_pulls;
     out->ok = true;
-  };
-  sched.Spawn(body());
-  out->end_time = sched.Run();
-}
-
-bool WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
+  });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::HasFlag(argc, argv, "--quick");
+  bench::Gates gates;
 
   // --- scaling ---
   const size_t workers = quick ? 384 : 768;
@@ -338,19 +307,17 @@ int main(int argc, char** argv) {
   std::printf("Scaling: rand-4K object reads, %zu clients x %llu ops, "
               "3 nodes, replication 3\n",
               workers, static_cast<unsigned long long>(reads));
-  ScalePoint p9, p18, p27;
-  RunScalePoint(3, workers, reads, objects, &p9);
-  RunScalePoint(6, workers, reads, objects, &p18);
-  RunScalePoint(9, workers, reads, objects, &p27);
-  const double x18 = p9.iops > 0 ? p18.iops / p9.iops : 0;
-  const double x27 = p9.iops > 0 ? p27.iops / p9.iops : 0;
+  const double p9 = RunScalePoint(3, workers, reads, objects);
+  const double p18 = RunScalePoint(6, workers, reads, objects);
+  const double p27 = RunScalePoint(9, workers, reads, objects);
+  const double x18 = p9 > 0 ? p18 / p9 : 0;
+  const double x27 = p9 > 0 ? p27 / p9 : 0;
   std::printf("  %2d OSDs: %9.0f IOPS\n  %2d OSDs: %9.0f IOPS (%.2fx)\n"
               "  %2d OSDs: %9.0f IOPS (%.2fx)\n",
-              9, p9.iops, 18, p18.iops, x18, 27, p27.iops, x27);
-  const bool scaling_ok =
-      p9.ok && p18.ok && p27.ok && x18 >= 1.6 && x27 >= 2.2;
-  std::printf("scaling: %s (acceptance: 18 OSDs >= 1.6x, 27 >= 2.2x)\n\n",
-              scaling_ok ? "PASS" : "FAIL");
+              9, p9, 18, p18, x18, 27, p27, x27);
+  const bool scaling_ok = gates.Report(
+      "scaling", p9 > 0 && p18 > 0 && p27 > 0 && x18 >= 1.6 && x27 >= 2.2,
+      " (acceptance: 18 OSDs >= 1.6x, 27 >= 2.2x)\n\n");
 
   // --- failure + recovery ---
   const uint64_t kill_ops = quick ? 512 : 1536;
@@ -367,9 +334,8 @@ int main(int argc, char** argv) {
               fp.iops, static_cast<unsigned long long>(fp.recovered),
               fp.degraded_after,
               static_cast<unsigned long long>(fp.map_epoch));
-  std::printf("failure: %s (acceptance: zero verify errors, degraded back "
-              "to 0)\n\n",
-              fp.pass ? "PASS" : "FAIL");
+  gates.Report("failure", fp.pass,
+               " (acceptance: zero verify errors, degraded back to 0)\n\n");
 
   // --- qos ---
   const uint64_t victim_ops = quick ? 192 : 512;
@@ -394,9 +360,9 @@ int main(int argc, char** argv) {
   std::printf("  %-18s | p50 %7.0f us | p99 %7.0f us (%.1fx solo)\n",
               "contended, mClock", contended_on.p50_us, contended_on.p99_us,
               on_ratio);
-  const bool qos_ok = solo.ok && contended_on.ok && on_ratio <= 1.3;
-  std::printf("qos: %s (acceptance: mClock victim p99 <= 1.3x solo)\n\n",
-              qos_ok ? "PASS" : "FAIL");
+  const bool qos_ok =
+      gates.Report("qos", solo.ok && contended_on.ok && on_ratio <= 1.3,
+                   " (acceptance: mClock victim p99 <= 1.3x solo)\n\n");
 
   // --- identity ---
   std::printf("Pay-to-use identity: healthy mixed workload, mClock single "
@@ -411,17 +377,16 @@ int main(int argc, char** argv) {
                   static_cast<long long>(plain.end_time),
               identical ? "(identical)" : "(OVERHEAD!)",
               static_cast<unsigned long long>(plain.control_events));
-  const bool identity_ok = identical && plain.control_events == 0 &&
-                           single.control_events == 0;
-  std::printf("identity: %s (acceptance: same sim clock, zero map/recovery "
-              "traffic when healthy)\n",
-              identity_ok ? "PASS" : "FAIL");
+  const bool identity_ok = gates.Report(
+      "identity",
+      identical && plain.control_events == 0 && single.control_events == 0,
+      " (acceptance: same sim clock, zero map/recovery traffic when "
+      "healthy)\n");
 
-  const bool all_ok = scaling_ok && fp.pass && qos_ok && identity_ok;
   std::string json = "{\n";
-  json += "  \"scaling\": {\"iops_9\": " + std::to_string(p9.iops) +
-          ", \"iops_18\": " + std::to_string(p18.iops) +
-          ", \"iops_27\": " + std::to_string(p27.iops) +
+  json += "  \"scaling\": {\"iops_9\": " + std::to_string(p9) +
+          ", \"iops_18\": " + std::to_string(p18) +
+          ", \"iops_27\": " + std::to_string(p27) +
           ", \"x18\": " + std::to_string(x18) +
           ", \"x27\": " + std::to_string(x27) +
           ", \"pass\": " + (scaling_ok ? "true" : "false") + "},\n";
@@ -440,9 +405,10 @@ int main(int argc, char** argv) {
                          static_cast<long long>(plain.end_time)) +
           ", \"control_events\": " + std::to_string(plain.control_events) +
           ", \"pass\": " + (identity_ok ? "true" : "false") + "},\n";
-  json += "  \"pass\": " + std::string(all_ok ? "true" : "false") + "\n}\n";
-  if (WriteFile("bench-cluster.json", json)) {
+  json += "  \"pass\": " + std::string(gates.ok() ? "true" : "false") +
+          "\n}\n";
+  if (bench::WriteFile("bench-cluster.json", json)) {
     std::printf("\nwrote bench-cluster.json\n");
   }
-  return all_ok ? 0 : 1;
+  return bench::ExitCode(gates.ok());
 }

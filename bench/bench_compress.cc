@@ -30,9 +30,7 @@
 // Usage: bench_compress [--quick]
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "cluster_fixture.h"
 
@@ -43,11 +41,7 @@ using namespace vde;
 // Single-copy cluster so punched bytes compare 1:1 against logical bytes;
 // 512 B allocation units so slot tails actually free capacity.
 rados::ClusterConfig CompressCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
+  rados::ClusterConfig cfg = bench::SmallCluster();
   cfg.store.alloc_unit = 512;
   return cfg;
 }
@@ -57,73 +51,29 @@ core::EncryptionSpec Spec(core::IvLayout layout, bool codec_on) {
   s.mode = core::CipherMode::kXtsRandom;
   s.layout = layout;
   s.integrity = core::Integrity::kHmac;
-  s.iv_seed = 1;
   if (codec_on) s.compression.codec = core::Compression::kLz;
   return s;
 }
 
-struct RunOut {
-  bool ok = false;
-  sim::SimTime clock = 0;
-  uint64_t events = 0;
-  workload::FioResult result;
-};
-
 // One fio run on a fresh cluster/image. `cores` = 0 keeps the legacy
 // single-timeline scheduler; > 0 enables the N-core CPU model.
-RunOut Run(const rados::ClusterConfig& cluster_cfg,
+bench::Outcome Run(const rados::ClusterConfig& cluster_cfg,
            const core::EncryptionSpec& spec, const workload::FioConfig& fio,
            unsigned cores) {
-  RunOut out;
-  sim::Scheduler sched;
-  if (cores > 0) sched.ConfigureCores(cores);
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(cluster_cfg);
-    if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 4ull << 30;
-    options.enc = spec;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    auto image =
-        co_await rbd::Image::Create(**cluster, "bench", "pw", options);
-    if (!image.ok()) co_return;
-    workload::FioRunner runner(**image, fio);
-    if (fio.verify) {
-      if (!(co_await runner.Prefill()).ok()) co_return;
-      co_await (*cluster)->Drain();
-    }
-    auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    out.result = std::move(*result);
-    co_await (*cluster)->Drain();
-    // Capacity gauges after the drain so every tail trim has landed.
-    out.result.store = (*cluster)->TotalStoreSpace();
-    out.ok = true;
+  bench::Point point;
+  point.cluster = cluster_cfg;
+  point.cores = cores;
+  point.tenants.push_back({"bench", bench::BenchImage(4ull << 30, spec), fio,
+                           /*prefill=*/fio.verify});
+  // Capacity gauges after the drain so every tail trim has landed.
+  objstore::StoreSpace space;
+  point.probe = [&](bench::Phase phase, rados::Cluster& cluster,
+                    const bench::Images&) {
+    if (phase == bench::Phase::kEnd) space = cluster.TotalStoreSpace();
   };
-  sched.Spawn(body());
-  sched.Run();
-  out.clock = sched.now();
-  out.events = sched.events_processed();
-  return out;
-}
-
-const char* LayoutName(core::IvLayout layout) {
-  switch (layout) {
-    case core::IvLayout::kUnaligned: return "unaligned";
-    case core::IvLayout::kObjectEnd: return "object-end";
-    case core::IvLayout::kOmap: return "omap";
-    case core::IvLayout::kNone: break;
-  }
-  return "none";
-}
-
-bool WriteFile(const char* path, const std::string& content) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
+  bench::Outcome run = bench::RunFio(point, "Run " + spec.Name());
+  if (run.ok) run.results[0].store = space;
+  return run;
 }
 
 std::string Num(double v) {
@@ -135,12 +85,8 @@ std::string Num(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const uint64_t ops = quick ? 192 : 768;
-  bool all_ok = true;
+  const uint64_t ops = bench::HasFlag(argc, argv, "--quick") ? 192 : 768;
+  bench::Gates gates;
   std::string geo_json = "[";
 
   // Gate 1: capacity reclaimed on a 60%-compressible stream, plus a clean
@@ -162,7 +108,8 @@ int main(int argc, char** argv) {
     // so punched bytes compare 1:1 against the compression counters.
     wr.working_set = (ops + 64) * 4096;
     wr.compressibility_pct = 60;
-    const RunOut cap = Run(CompressCluster(), Spec(layout, true), wr, 0);
+    const bench::Outcome cap =
+        Run(CompressCluster(), Spec(layout, true), wr, 0);
 
     // Phase B: the same geometry must survive mutation with verification.
     workload::FioConfig mut;
@@ -174,9 +121,10 @@ int main(int argc, char** argv) {
     mut.working_set = 8ull << 20;
     mut.compressibility_pct = 60;
     mut.verify = true;
-    const RunOut ver = Run(CompressCluster(), Spec(layout, true), mut, 0);
+    const bench::Outcome ver =
+        Run(CompressCluster(), Spec(layout, true), mut, 0);
 
-    const rbd::ImageStats& s = cap.result.image;
+    const rbd::ImageStats& s = cap.results[0].image;
     const double logical = static_cast<double>(s.compress_in_bytes);
     const uint64_t blocks = s.compress_blocks + s.compress_verbatim_blocks;
     // Compression ratio at capacity granularity: the fraction of each
@@ -188,28 +136,27 @@ int main(int argc, char** argv) {
     const double ratio =
         static_cast<double>(4096 - stored_units) / 4096.0;
     const double reclaimed =
-        static_cast<double>(cap.result.store.punched_bytes);
+        static_cast<double>(cap.results[0].store.punched_bytes);
     const double floor = 0.90 * ratio * logical;
     const bool ok = cap.ok && ver.ok && logical > 0 && ratio > 0 &&
                     reclaimed >= floor;
     std::printf(
         "  %-10s logical=%.0f stored=%llu/blk ratio=%.1f%% "
         "reclaimed=%.1f%% floor=%.1f%% verify=%s  %s\n",
-        LayoutName(layout), logical,
+        bench::LayoutName(layout), logical,
         static_cast<unsigned long long>(avg_stored), 100.0 * ratio,
         100.0 * reclaimed / logical, 100.0 * floor / logical,
         ver.ok ? "clean" : "FAILED", ok ? "ok" : "FAIL");
     capacity_ok = capacity_ok && ok;
     if (geo_json.size() > 1) geo_json += ",";
-    geo_json += std::string("{\"layout\":\"") + LayoutName(layout) +
+    geo_json += std::string("{\"layout\":\"") + bench::LayoutName(layout) +
                 "\",\"logical_bytes\":" + Num(logical) +
                 ",\"reclaimed_bytes\":" + Num(reclaimed) +
                 ",\"compression_ratio\":" + Num(ratio) +
                 ",\"verify_clean\":" + (ver.ok ? "true" : "false") + "}";
   }
   geo_json += "]";
-  std::printf("gate capacity: %s\n\n", capacity_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && capacity_ok;
+  gates.Report("gate capacity", capacity_ok, "\n\n");
 
   // Gate 2: incompressible stream — every block stored verbatim, so the
   // only cost is the failed compression try; p50 within 3% of codec-off.
@@ -219,24 +166,24 @@ int main(int argc, char** argv) {
   inc.queue_depth = 32;
   inc.total_ops = ops;
   inc.working_set = 64ull << 20;
-  const RunOut off = Run(CompressCluster(),
-                         Spec(core::IvLayout::kObjectEnd, false), inc, 0);
-  const RunOut on = Run(CompressCluster(),
-                        Spec(core::IvLayout::kObjectEnd, true), inc, 0);
-  const double p50_off = off.result.latency_ns.Percentile(50);
-  const double p50_on = on.result.latency_ns.Percentile(50);
+  const bench::Outcome off = Run(
+      CompressCluster(), Spec(core::IvLayout::kObjectEnd, false), inc, 0);
+  const bench::Outcome on = Run(
+      CompressCluster(), Spec(core::IvLayout::kObjectEnd, true), inc, 0);
+  const double p50_off = off.results[0].latency_ns.Percentile(50);
+  const double p50_on = on.results[0].latency_ns.Percentile(50);
   const double p50_delta =
       p50_off > 0 ? std::fabs(p50_on - p50_off) / p50_off : 1.0;
+  const rbd::ImageStats& on_stats = on.results[0].image;
   const bool latency_ok =
       off.ok && on.ok && p50_delta <= 0.03 &&
-      on.result.image.compress_blocks == 0 &&  // nothing compressed...
-      on.result.image.compress_verbatim_blocks > 0;  // ...everything tried
+      on_stats.compress_blocks == 0 &&  // nothing compressed...
+      on_stats.compress_verbatim_blocks > 0;  // ...everything tried
   std::printf("gate latency: incompressible 4 KiB writes qd=32\n");
   std::printf("  p50 off=%.0f ns  on=%.0f ns  delta=%.2f%% (<= 3%%)  %s\n",
               p50_off, p50_on, 100.0 * p50_delta,
               latency_ok ? "ok" : "FAIL");
-  std::printf("gate latency: %s\n\n", latency_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && latency_ok;
+  gates.Report("gate latency", latency_ok, "\n\n");
 
   // Gate 3: compression off adds zero compress work and stays
   // deterministic to the event at 1 and at 4 cores.
@@ -251,13 +198,13 @@ int main(int argc, char** argv) {
   mixed.working_set = 16ull << 20;
   for (const unsigned cores : {1u, 4u}) {
     const rados::ClusterConfig plain = bench::PaperCluster();
-    const RunOut a = Run(plain, Spec(core::IvLayout::kObjectEnd, false),
-                         mixed, cores);
-    const RunOut b = Run(plain, Spec(core::IvLayout::kObjectEnd, false),
-                         mixed, cores);
-    const bool pure = a.result.image.compress_in_bytes == 0 &&
-                      a.result.image.compress_blocks == 0 &&
-                      a.result.image.compress_expanded_blocks == 0;
+    const bench::Outcome a =
+        Run(plain, Spec(core::IvLayout::kObjectEnd, false), mixed, cores);
+    const bench::Outcome b =
+        Run(plain, Spec(core::IvLayout::kObjectEnd, false), mixed, cores);
+    const rbd::ImageStats& s = a.results[0].image;
+    const bool pure = s.compress_in_bytes == 0 && s.compress_blocks == 0 &&
+                      s.compress_expanded_blocks == 0;
     const bool ok = a.ok && b.ok && a.clock == b.clock &&
                     a.events == b.events && pure;
     std::printf("  cores=%u: clock=%llu ns events=%llu rerun=%s "
@@ -269,8 +216,7 @@ int main(int argc, char** argv) {
                 pure ? "zero" : "NONZERO", ok ? "ok" : "FAIL");
     off_ok = off_ok && ok;
   }
-  std::printf("gate off-path: %s\n\n", off_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && off_ok;
+  gates.Report("gate off-path", off_ok, "\n\n");
 
   // Artifact for CI.
   std::string summary = "{\"gates\":{\"capacity\":";
@@ -283,14 +229,14 @@ int main(int argc, char** argv) {
   summary += ",\"latency\":{\"p50_off_ns\":" + Num(p50_off) +
              ",\"p50_on_ns\":" + Num(p50_on) +
              ",\"delta_frac\":" + Num(p50_delta) + "}";
-  summary += ",\"fio\":" + on.result.ToJson() + "}\n";
-  if (!WriteFile("bench-compress.json", summary)) {
+  summary += ",\"fio\":" + on.results[0].ToJson() + "}\n";
+  if (!bench::WriteFile("bench-compress.json", summary)) {
     std::printf("failed to write bench-compress.json\n");
     return 1;
   }
   std::printf("wrote bench-compress.json\n");
 
   std::printf("\nbench_compress: %s\n",
-              all_ok ? "ALL GATES PASS" : "FAILED");
-  return all_ok ? 0 : 1;
+              gates.ok() ? "ALL GATES PASS" : "FAILED");
+  return bench::ExitCode(gates.ok());
 }

@@ -4,7 +4,6 @@
 //
 // Usage: bench_fig3_bandwidth [--figure=3a|3b|both] [--quick]
 #include <cstdio>
-#include <cstring>
 
 #include "cluster_fixture.h"
 
@@ -30,8 +29,7 @@ void RunFigure(bool is_write, bool quick) {
     std::printf("%8s", HumanSize(io).c_str());
     std::fflush(stdout);
     for (const auto& s : specs) {
-      const auto point = RunPoint(s.spec, io, is_write);
-      std::printf("  %12.1f", point.mbps);
+      std::printf("  %12.1f", RunPoint(PaperImage(s.spec), io, is_write));
       std::fflush(stdout);
     }
     std::printf("\n");
@@ -41,17 +39,14 @@ void RunFigure(bool is_write, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool do_read = true, do_write = true, quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--figure=3a") == 0) do_write = false;
-    if (std::strcmp(argv[i], "--figure=3b") == 0) do_read = false;
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool do_read = !HasFlag(argc, argv, "--figure=3b");
+  const bool do_write = !HasFlag(argc, argv, "--figure=3a");
+  const bool quick = HasFlag(argc, argv, "--quick");
   std::printf("Reproduction of HotStorage'22 \"Rethinking Block Storage "
               "Encryption with Virtual Disks\", Fig. 3\n");
   std::printf("(simulated 3-node x 9-NVMe cluster, 3x replication, 4 MiB "
               "objects, 4 KiB encryption blocks)\n");
   if (do_read) RunFigure(/*is_write=*/false, quick);
   if (do_write) RunFigure(/*is_write=*/true, quick);
-  return 0;
+  return ExitCode();
 }

@@ -13,11 +13,7 @@ int main(int argc, char** argv) {
   using namespace vde;
   using namespace vde::bench;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-
+  const bool quick = HasFlag(argc, argv, "--quick");
   const auto specs = PaperSpecs();
   auto sizes = PaperIoSizes();
   if (quick) sizes = {4096, 65536, 1ull << 20, 4ull << 20};
@@ -32,13 +28,15 @@ int main(int argc, char** argv) {
 
   double object_end_min = 1e9, object_end_max = -1e9;
   for (const uint64_t io : sizes) {
-    const auto base = RunPoint(specs[0].spec, io, /*is_write=*/true);
+    const double base =
+        RunPoint(PaperImage(specs[0].spec), io, /*is_write=*/true);
     std::printf("%8s", HumanSize(io).c_str());
     std::fflush(stdout);
     for (size_t i = 1; i < specs.size(); ++i) {
-      const auto point = RunPoint(specs[i].spec, io, /*is_write=*/true);
+      const double point =
+          RunPoint(PaperImage(specs[i].spec), io, /*is_write=*/true);
       const double overhead =
-          base.mbps > 0 ? (1.0 - point.mbps / base.mbps) * 100.0 : 0.0;
+          base > 0 ? (1.0 - point / base) * 100.0 : 0.0;
       if (std::strcmp(specs[i].name, "Object end") == 0) {
         object_end_min = std::min(object_end_min, overhead);
         object_end_max = std::max(object_end_max, overhead);
@@ -51,5 +49,5 @@ int main(int argc, char** argv) {
   std::printf("\nObject-end overhead range: %.1f%% .. %.1f%%  "
               "(paper: 1%% .. 22%%)\n",
               object_end_min, object_end_max);
-  return 0;
+  return ExitCode();
 }

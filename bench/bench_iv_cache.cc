@@ -18,24 +18,12 @@
 //
 // Usage: bench_iv_cache [--quick]
 #include <cstdio>
-#include <cstring>
 
 #include "cluster_fixture.h"
 
 namespace {
 
 using namespace vde;
-
-struct CachePoint {
-  double p50_us = 0;
-  double p99_us = 0;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t meta_fetched = 0;
-  uint64_t meta_saved = 0;
-  sim::SimTime end_time = 0;
-  bool ok = false;
-};
 
 rbd::IvCacheConfig CacheOff() {
   rbd::IvCacheConfig c;
@@ -55,61 +43,20 @@ rbd::IvCacheConfig CacheDisabled() { return {}; }
 
 // One workload point on a fresh single-replica cluster (store/metadata
 // traffic maps 1:1 to client transactions).
-CachePoint RunCachePoint(const core::EncryptionSpec& spec,
-                         const rbd::IvCacheConfig& cache,
-                         const workload::FioConfig& fio_template,
-                         uint64_t ops) {
-  CachePoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    rados::ClusterConfig cfg = bench::PaperCluster();
-    cfg.nodes = 1;
-    cfg.osds_per_node = 4;
-    cfg.replication = 1;
-    cfg.pg_count = 32;
-    auto cluster = co_await rados::Cluster::Create(cfg);
-    if (!cluster.ok()) co_return;
-
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    options.iv_cache = cache;
-    auto image =
-        co_await rbd::Image::Create(**cluster, "ivbench", "pw", options);
-    if (!image.ok()) co_return;
-    auto& img = **image;
-
-    workload::FioConfig fio = fio_template;
-    fio.total_ops = ops;
-    workload::FioRunner runner(img, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
-
-    auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
-
-    point.p50_us = result->latency_ns.Percentile(50) / 1000.0;
-    point.p99_us = result->latency_ns.Percentile(99) / 1000.0;
-    point.hits = result->image.iv_hits;
-    point.misses = result->image.iv_misses;
-    point.meta_fetched = result->image.iv_meta_bytes_fetched;
-    point.meta_saved = result->image.iv_meta_bytes_saved;
-    point.ok = true;
-  };
-
-  sched.Spawn(body());
-  point.end_time = sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr, "RunCachePoint failed: %s\n", spec.Name().c_str());
-  }
-  return point;
+bench::Outcome RunCachePoint(const core::EncryptionSpec& spec,
+                             const rbd::IvCacheConfig& cache,
+                             const workload::FioConfig& fio_template,
+                             uint64_t ops) {
+  bench::Point point;
+  point.cluster = bench::SmallCluster();
+  rbd::ImageOptions options = bench::BenchImage(1ull << 30, spec);
+  options.iv_cache = cache;
+  workload::FioConfig fio = fio_template;
+  fio.total_ops = ops;
+  point.tenants.push_back({"ivbench", options, fio, /*prefill=*/true});
+  point.after_prefill = {bench::Step::kFlush, bench::Step::kDrain};
+  point.after_run = {bench::Step::kFlush, bench::Step::kDrain};
+  return bench::RunFio(point, "RunCachePoint " + spec.Name());
 }
 
 workload::FioConfig RereadFio() {
@@ -136,46 +83,41 @@ const core::EncryptionSpec kOmap{core::CipherMode::kXtsRandom,
 const core::EncryptionSpec kUnaligned{core::CipherMode::kXtsRandom,
                                       core::IvLayout::kUnaligned};
 
-const char* SpecLabel(const core::EncryptionSpec& spec) {
-  switch (spec.layout) {
-    case core::IvLayout::kObjectEnd: return "object-end";
-    case core::IvLayout::kOmap: return "omap";
-    case core::IvLayout::kUnaligned: return "unaligned";
-    default: return "?";
-  }
-}
-
-// Returns true when the gates hold; `gated` controls whether this spec
-// participates in the exit code (unaligned is informational: its
+// Prints one row and records its verdict; `gated` controls whether this
+// spec participates in the exit code (unaligned is informational: its
 // multi-block reads stay on the full-fetch path by design).
-bool ReportSection(const char* workload, const core::EncryptionSpec& spec,
-                   const CachePoint& off, const CachePoint& on, bool gated) {
+void ReportSection(bench::Gates& gates, const char* workload,
+                   const core::EncryptionSpec& spec,
+                   const bench::Outcome& off_run, const bench::Outcome& on_run,
+                   bool gated) {
+  const rbd::ImageStats& off = off_run.results[0].image;
+  const rbd::ImageStats& on = on_run.results[0].image;
+  const double off_p50_us = off_run.results[0].latency_ns.Percentile(50) / 1e3;
+  const double on_p50_us = on_run.results[0].latency_ns.Percentile(50) / 1e3;
   const double ratio =
-      off.meta_fetched > 0
-          ? static_cast<double>(on.meta_fetched) /
-                static_cast<double>(off.meta_fetched)
+      off.iv_meta_bytes_fetched > 0
+          ? static_cast<double>(on.iv_meta_bytes_fetched) /
+                static_cast<double>(off.iv_meta_bytes_fetched)
           : 1.0;
-  const bool fewer_bytes = on.meta_fetched < off.meta_fetched;
-  const bool latency_ok = on.p50_us <= off.p50_us * 1.01;
-  const bool pass = off.ok && on.ok && (!gated || (fewer_bytes && latency_ok));
+  const bool fewer_bytes = on.iv_meta_bytes_fetched < off.iv_meta_bytes_fetched;
+  const bool latency_ok = on_p50_us <= off_p50_us * 1.01;
+  const bool pass =
+      off_run.ok && on_run.ok && (!gated || (fewer_bytes && latency_ok));
+  gates.Record(pass);
   std::printf("%8s %-11s | %10llu %10llu (%.2fx) | hits=%llu saved=%llu | "
               "p50 %6.0f -> %6.0f us %s\n",
-              workload, SpecLabel(spec),
-              static_cast<unsigned long long>(off.meta_fetched),
-              static_cast<unsigned long long>(on.meta_fetched), ratio,
-              static_cast<unsigned long long>(on.hits),
-              static_cast<unsigned long long>(on.meta_saved), off.p50_us,
-              on.p50_us, gated ? (pass ? "PASS" : "FAIL") : "(info)");
-  return pass;
+              workload, bench::LayoutName(spec.layout),
+              static_cast<unsigned long long>(off.iv_meta_bytes_fetched),
+              static_cast<unsigned long long>(on.iv_meta_bytes_fetched), ratio,
+              static_cast<unsigned long long>(on.iv_hits),
+              static_cast<unsigned long long>(on.iv_meta_bytes_saved),
+              off_p50_us, on_p50_us, gated ? bench::PassFail(pass) : "(info)");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::HasFlag(argc, argv, "--quick");
   const uint64_t reread_ops = quick ? 1024 : 4096;
   const uint64_t rmw_ops = quick ? 1024 : 4096;
 
@@ -186,7 +128,7 @@ int main(int argc, char** argv) {
   std::printf("%8s %-11s | %10s %10s %7s | %s\n", "workload", "layout",
               "off bytes", "on bytes", "", "cache-on detail");
 
-  bool gates_ok = true;
+  bench::Gates gates;
   struct Scenario {
     const char* name;
     workload::FioConfig fio;
@@ -197,9 +139,10 @@ int main(int argc, char** argv) {
   for (const Scenario& sc : scenarios) {
     for (const auto* spec : {&kObjectEnd, &kOmap, &kUnaligned}) {
       const bool gated = spec != &kUnaligned;
-      const CachePoint off = RunCachePoint(*spec, CacheOff(), sc.fio, sc.ops);
-      const CachePoint on = RunCachePoint(*spec, CacheOn(), sc.fio, sc.ops);
-      gates_ok &= ReportSection(sc.name, *spec, off, on, gated);
+      const bench::Outcome off =
+          RunCachePoint(*spec, CacheOff(), sc.fio, sc.ops);
+      const bench::Outcome on = RunCachePoint(*spec, CacheOn(), sc.fio, sc.ops);
+      ReportSection(gates, sc.name, *spec, off, on, gated);
       std::fflush(stdout);
     }
   }
@@ -219,19 +162,17 @@ int main(int argc, char** argv) {
   mixed.working_set = 8ull << 20;
   const uint64_t pt_ops = quick ? 512 : 2048;
   for (const auto* spec : {&kObjectEnd, &kOmap, &kUnaligned}) {
-    const CachePoint disabled =
+    const bench::Outcome disabled =
         RunCachePoint(*spec, CacheDisabled(), mixed, pt_ops);
-    const CachePoint zero = RunCachePoint(*spec, CacheOff(), mixed, pt_ops);
-    const bool same =
-        disabled.ok && zero.ok && disabled.end_time == zero.end_time;
+    const bench::Outcome zero = RunCachePoint(*spec, CacheOff(), mixed, pt_ops);
+    const bool same = disabled.ok && zero.ok && disabled.clock == zero.clock;
     passthrough_ok = passthrough_ok && same;
-    std::printf("  %-11s clock delta %lld ns %s\n", SpecLabel(*spec),
-                static_cast<long long>(zero.end_time) -
-                    static_cast<long long>(disabled.end_time),
+    std::printf("  %-11s clock delta %lld ns %s\n",
+                bench::LayoutName(spec->layout),
+                static_cast<long long>(zero.clock) -
+                    static_cast<long long>(disabled.clock),
                 same ? "(identical)" : "(OVERHEAD!)");
   }
-  std::printf("passthrough: %s\n", passthrough_ok ? "PASS" : "FAIL");
-  std::printf("gates: %s\n",
-              gates_ok && passthrough_ok ? "PASS" : "FAIL");
-  return gates_ok && passthrough_ok ? 0 : 1;
+  gates.Report("passthrough", passthrough_ok);
+  return gates.Finish();
 }

@@ -24,7 +24,6 @@
 // Usage: bench_meta [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "cluster_fixture.h"
@@ -36,33 +35,10 @@ using namespace vde;
 
 constexpr uint64_t kBlk = core::kBlockSize;
 
-rados::ClusterConfig MetaCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
-
-core::EncryptionSpec Spec(core::CipherMode mode, core::IvLayout layout,
-                          core::Integrity integrity = core::Integrity::kNone) {
-  core::EncryptionSpec s;
-  s.mode = mode;
-  s.layout = layout;
-  s.integrity = integrity;
-  return s;
-}
-
 rbd::ImageOptions BaseImage(core::EncryptionSpec spec, uint64_t size,
                             uint64_t object_size, size_t cache_objects) {
-  rbd::ImageOptions o;
-  o.size = size;
+  rbd::ImageOptions o = bench::BenchImage(size, spec);
   o.object_size = object_size;
-  o.enc = spec;
-  o.enc.iv_seed = 1;
-  o.luks.pbkdf2_iterations = 10;
-  o.luks.af_stripes = 8;
   o.iv_cache.enabled = true;
   o.iv_cache.max_objects = cache_objects;
   return o;
@@ -99,10 +75,8 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
   constexpr uint64_t kTrimOff = 128 * 1024;
   constexpr uint64_t kTrimLen = 64 * 1024;
   WarmPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options =
@@ -182,10 +156,7 @@ WarmPoint RunWarmReopenPoint(const core::EncryptionSpec& spec,
     }
     point.data_ok = cold_ok && warm_ok;
     point.ok = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   if (!point.ok) {
     std::fprintf(stderr, "RunWarmReopenPoint failed: %s\n",
                  spec.Name().c_str());
@@ -201,10 +172,8 @@ bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
   constexpr uint64_t kObjSize = 64 * 1024;
   bool rejected = false;
   bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options = BaseImage(spec, 8ull << 20, kObjSize, 16);
@@ -256,10 +225,7 @@ bool RunBitmapReplayPoint(const core::EncryptionSpec& spec) {
     rejected = got.status().code() == StatusCode::kCorruption;
     (void)co_await (*reopened)->Close();
     ran = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   return ran && rejected;
 }
 
@@ -271,10 +237,8 @@ bool RunStaleIvPoint(const core::EncryptionSpec& spec) {
   constexpr uint64_t kObjSize = 64 * 1024;
   bool rejected = false;
   bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
     dev::NvmeDevice meta_dev;
     rbd::ImageOptions options = BaseImage(spec, 8ull << 20, kObjSize, 16);
@@ -311,10 +275,7 @@ bool RunStaleIvPoint(const core::EncryptionSpec& spec) {
     rejected = got.status().code() == StatusCode::kCorruption;
     (void)co_await (*reopened)->Close();
     ran = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   return ran && rejected;
 }
 
@@ -333,15 +294,13 @@ PassthroughPoint RunPassthroughPoint(bool with_disabled_config,
                                      size_t objects) {
   constexpr uint64_t kObjSize = 1ull << 20;
   PassthroughPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(MetaCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
     dev::NvmeDevice meta_dev;
-    const auto spec = Spec(core::CipherMode::kXtsRandom,
-                           core::IvLayout::kObjectEnd,
-                           core::Integrity::kHmac);
+    const core::EncryptionSpec spec{core::CipherMode::kXtsRandom,
+                                    core::IvLayout::kObjectEnd,
+                                    core::Integrity::kHmac};
     rbd::ImageOptions options =
         BaseImage(spec, objects * kObjSize, kObjSize, objects + 8);
     if (with_disabled_config) {
@@ -371,36 +330,29 @@ PassthroughPoint RunPassthroughPoint(bool with_disabled_config,
     point.meta_spills = s.meta_spills;
     if (!(co_await (*image)->Close()).ok()) co_return;
     point.ok = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   return point;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const size_t objects = quick ? 4 : 16;
-  bool gates_ok = true;
+  const size_t objects = bench::HasFlag(argc, argv, "--quick") ? 4 : 16;
+  bench::Gates gates;
 
-  const core::EncryptionSpec hmac_unaligned =
-      Spec(core::CipherMode::kXtsRandom, core::IvLayout::kUnaligned,
-           core::Integrity::kHmac);
-  const core::EncryptionSpec hmac_oe =
-      Spec(core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd,
-           core::Integrity::kHmac);
-  const core::EncryptionSpec hmac_omap =
-      Spec(core::CipherMode::kXtsRandom, core::IvLayout::kOmap,
-           core::Integrity::kHmac);
-  const core::EncryptionSpec gcm_oe =
-      Spec(core::CipherMode::kGcmRandom, core::IvLayout::kObjectEnd);
-  const core::EncryptionSpec gcm_omap =
-      Spec(core::CipherMode::kGcmRandom, core::IvLayout::kOmap);
+  const core::EncryptionSpec hmac_unaligned{core::CipherMode::kXtsRandom,
+                                            core::IvLayout::kUnaligned,
+                                            core::Integrity::kHmac};
+  const core::EncryptionSpec hmac_oe{core::CipherMode::kXtsRandom,
+                                     core::IvLayout::kObjectEnd,
+                                     core::Integrity::kHmac};
+  const core::EncryptionSpec hmac_omap{core::CipherMode::kXtsRandom,
+                                       core::IvLayout::kOmap,
+                                       core::Integrity::kHmac};
+  const core::EncryptionSpec gcm_oe{core::CipherMode::kGcmRandom,
+                                    core::IvLayout::kObjectEnd};
+  const core::EncryptionSpec gcm_omap{core::CipherMode::kGcmRandom,
+                                      core::IvLayout::kOmap};
 
   std::printf("Persistent metadata plane: warm reopen vs cold start "
               "(%zu x 1 MiB objects, 256 KiB written each)\n",
@@ -408,20 +360,16 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %10s %8s | %10s %8s | %9s | %s\n", "spec", "cold_B",
               "cold_ld", "warm_B", "warm_ld", "rows", "gate");
 
-  struct SpecRow {
-    const char* name;
-    const core::EncryptionSpec* spec;
-  };
-  const SpecRow warm_rows[] = {{"hmac/unaligned", &hmac_unaligned},
-                               {"hmac/object-end", &hmac_oe},
-                               {"hmac/omap", &hmac_omap}};
-  for (const SpecRow& row : warm_rows) {
-    const WarmPoint p = RunWarmReopenPoint(*row.spec, objects);
+  const bench::NamedSpec warm_rows[] = {{"hmac/unaligned", hmac_unaligned},
+                                        {"hmac/object-end", hmac_oe},
+                                        {"hmac/omap", hmac_omap}};
+  for (const bench::NamedSpec& row : warm_rows) {
+    const WarmPoint p = RunWarmReopenPoint(row.spec, objects);
     const bool cold_paid = p.cold_meta_bytes > 0 || p.cold_bitmap_loads > 0;
     const bool warm_free = p.warm_meta_bytes == 0 && p.warm_bitmap_loads == 0;
-    const bool pass = p.ok && p.data_ok && cold_paid && warm_free &&
-                      p.recovered_rows > 0 && p.warm_hits > 0;
-    gates_ok = gates_ok && pass;
+    const bool pass = gates.Record(p.ok && p.data_ok && cold_paid &&
+                                   warm_free && p.recovered_rows > 0 &&
+                                   p.warm_hits > 0);
     std::printf("%-22s | %10llu %8llu | %10llu %8llu | %9llu | %s%s\n",
                 row.name,
                 static_cast<unsigned long long>(p.cold_meta_bytes),
@@ -429,47 +377,42 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.warm_meta_bytes),
                 static_cast<unsigned long long>(p.warm_bitmap_loads),
                 static_cast<unsigned long long>(p.recovered_rows),
-                pass ? "PASS" : "FAIL",
+                bench::PassFail(pass),
                 pass ? "" : (p.data_ok ? " (metadata)" : " (data)"));
     std::fflush(stdout);
   }
 
   std::printf("\nRollback rejection: write-generation epochs\n");
-  const SpecRow replay_rows[] = {{"hmac/omap", &hmac_omap},
-                                 {"gcm/omap", &gcm_omap}};
-  for (const SpecRow& row : replay_rows) {
-    const bool pass = RunBitmapReplayPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const bench::NamedSpec replay_rows[] = {{"hmac/omap", hmac_omap},
+                                          {"gcm/omap", gcm_omap}};
+  for (const bench::NamedSpec& row : replay_rows) {
+    const bool pass = gates.Record(RunBitmapReplayPoint(row.spec));
     std::printf("  %-20s replayed stale bitmap rejected: %s\n", row.name,
-                pass ? "PASS" : "FAIL");
+                bench::PassFail(pass));
     std::fflush(stdout);
   }
-  const SpecRow stale_rows[] = {{"hmac/object-end", &hmac_oe},
-                                {"gcm/object-end", &gcm_oe}};
-  for (const SpecRow& row : stale_rows) {
-    const bool pass = RunStaleIvPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const bench::NamedSpec stale_rows[] = {{"hmac/object-end", hmac_oe},
+                                         {"gcm/object-end", gcm_oe}};
+  for (const bench::NamedSpec& row : stale_rows) {
+    const bool pass = gates.Record(RunStaleIvPoint(row.spec));
     std::printf("  %-20s stale persisted IV row rejected: %s\n", row.name,
-                pass ? "PASS" : "FAIL");
+                bench::PassFail(pass));
     std::fflush(stdout);
   }
 
   std::printf("\nPassthrough: disabled plane vs no plane\n");
   const PassthroughPoint base = RunPassthroughPoint(false, objects);
   const PassthroughPoint off = RunPassthroughPoint(true, objects);
-  const bool pt_pass = base.ok && off.ok && base.end_time == off.end_time &&
-                       base.bytes_written == off.bytes_written &&
-                       base.bytes_read == off.bytes_read &&
-                       base.iv_meta_bytes_fetched ==
-                           off.iv_meta_bytes_fetched &&
-                       off.meta_spills == 0;
-  gates_ok = gates_ok && pt_pass;
+  const bool pt_pass = gates.Record(
+      base.ok && off.ok && base.end_time == off.end_time &&
+      base.bytes_written == off.bytes_written &&
+      base.bytes_read == off.bytes_read &&
+      base.iv_meta_bytes_fetched == off.iv_meta_bytes_fetched &&
+      off.meta_spills == 0);
   std::printf("  sim_time %llu vs %llu ns, spills=%llu: %s\n",
               static_cast<unsigned long long>(base.end_time),
               static_cast<unsigned long long>(off.end_time),
               static_cast<unsigned long long>(off.meta_spills),
-              pt_pass ? "PASS" : "FAIL");
-
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+              bench::PassFail(pt_pass));
+  return gates.Finish();
 }

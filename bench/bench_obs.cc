@@ -37,95 +37,57 @@ namespace {
 
 using namespace vde;
 
-rados::ClusterConfig SmallCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
+const core::EncryptionSpec kObjectEnd{core::CipherMode::kXtsRandom,
+                                      core::IvLayout::kObjectEnd};
 
-core::EncryptionSpec ObjectEnd() {
-  core::EncryptionSpec s;
-  s.mode = core::CipherMode::kXtsRandom;
-  s.layout = core::IvLayout::kObjectEnd;
-  return s;
-}
-
-struct RunOut {
-  bool ok = false;
-  sim::SimTime clock = 0;     // final sim time after the whole run drained
-  uint64_t events = 0;        // total events processed
-  workload::FioResult result;
-  std::string result_json;
-  std::string trace_json;
+// What a traced run exports once the whole run drained.
+struct TraceOut {
+  std::string json;
   std::vector<obs::OpRecord> completed;  // every completed op (slow log)
-  size_t trace_spans = 0;
-  uint64_t trace_dropped = 0;
+  size_t spans = 0;
+  uint64_t dropped = 0;
 };
 
 // One mixed rwmix+discard run on a fresh cluster. `obs_on` flips the
 // observability plane; `qos_depth` > 0 puts the image behind a
-// depth-capped QoS scheduler (forces queue waits -> qos spans).
-RunOut RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
-                size_t qos_depth) {
-  RunOut out;
-  sim::Scheduler sched;
-  if (cores > 0) sched.ConfigureCores(cores);
+// depth-capped QoS scheduler (forces queue waits -> qos spans). A non-null
+// `trace` receives the exported trace.
+bench::Outcome RunMixed(bool obs_on, unsigned cores, uint64_t ops, size_t qd,
+                        size_t qos_depth, TraceOut* trace = nullptr) {
+  rbd::ImageOptions options = bench::BenchImage(4ull << 30, kObjectEnd);
+  options.obs.enabled = obs_on;
+  // Retain every completed op (prefill included) so the exactness gate
+  // checks the whole population, not just a tail.
+  options.obs.slow_ops = 1 << 14;
+  if (qos_depth > 0) {
+    options.qos_scheduler = std::make_shared<qos::Scheduler>();
+    options.qos.enabled = true;
+    options.qos.max_queue_depth = qos_depth;
+  }
+  workload::FioConfig fio;
+  fio.rw_mix_pct = 70;
+  fio.discard_pct = 10;
+  fio.io_size = 4096;
+  fio.queue_depth = qd;
+  fio.total_ops = ops;
+  fio.working_set = 64ull << 20;
+  bench::Point point;
+  point.cluster = bench::SmallCluster();
+  point.cores = cores;
+  point.tenants.push_back({"bench", options, fio, /*prefill=*/true});
 
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(SmallCluster());
-    if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 4ull << 30;
-    options.enc = ObjectEnd();
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    options.obs.enabled = obs_on;
-    // Retain every completed op (prefill included) so the exactness gate
-    // checks the whole population, not just a tail.
-    options.obs.slow_ops = 1 << 14;
-    if (qos_depth > 0) {
-      options.qos_scheduler = std::make_shared<qos::Scheduler>();
-      options.qos.enabled = true;
-      options.qos.max_queue_depth = qos_depth;
-    }
-    auto image =
-        co_await rbd::Image::Create(**cluster, "bench", "pw", options);
-    if (!image.ok()) co_return;
-
-    workload::FioConfig fio;
-    fio.rw_mix_pct = 70;
-    fio.discard_pct = 10;
-    fio.io_size = 4096;
-    fio.queue_depth = qd;
-    fio.total_ops = ops;
-    fio.working_set = 64ull << 20;
-    workload::FioRunner runner(**image, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    co_await (*cluster)->Drain();
-
-    auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    out.result = std::move(*result);
-    co_await (*cluster)->Drain();
-
-    if (obs_on) {
-      out.result_json = out.result.ToJson();
-      out.trace_json = (*image)->obs().tracer().ExportChromeJson();
-      out.trace_spans = (*image)->obs().tracer().size();
-      out.trace_dropped = (*image)->obs().tracer().dropped();
-      out.completed = (*image)->obs().op_tracker().SlowOps();
-    }
-    out.ok = true;
-  };
-  sched.Spawn(body());
-  sched.Run();
-  out.clock = sched.now();
-  out.events = sched.events_processed();
-  return out;
+  if (trace != nullptr) {
+    point.probe = [trace](bench::Phase phase, rados::Cluster&,
+                          const bench::Images& images) {
+      if (phase != bench::Phase::kEnd) return;
+      const obs::Tracer& tracer = images[0]->obs().tracer();
+      trace->json = tracer.ExportChromeJson();
+      trace->spans = tracer.size();
+      trace->dropped = tracer.dropped();
+      trace->completed = images[0]->obs().op_tracker().SlowOps();
+    };
+  }
+  return bench::RunFio(point, "RunMixed");
 }
 
 // --- minimal JSON parser (validation + "name" collection) ---
@@ -281,23 +243,11 @@ class JsonParser {
   std::set<std::string> names_;
 };
 
-bool WriteFile(const char* path, const std::string& content) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) return false;
-  const size_t n = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return n == content.size();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const uint64_t ops = quick ? 160 : 512;
-  bool all_ok = true;
+  const uint64_t ops = bench::HasFlag(argc, argv, "--quick") ? 160 : 512;
+  bench::Gates gates;
 
   // Gate (a): disabled vs enabled observability — identical sim clock and
   // event count, under both the legacy timeline and the 4-core model.
@@ -305,10 +255,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ops));
   bool identity_ok = true;
   for (unsigned cores : {0u, 4u}) {
-    RunOut off = RunMixed(/*obs_on=*/false, cores, ops, /*qd=*/8,
-                          /*qos_depth=*/0);
-    RunOut on = RunMixed(/*obs_on=*/true, cores, ops, /*qd=*/8,
-                         /*qos_depth=*/0);
+    const bench::Outcome off = RunMixed(/*obs_on=*/false, cores, ops,
+                                        /*qd=*/8, /*qos_depth=*/0);
+    const bench::Outcome on = RunMixed(/*obs_on=*/true, cores, ops, /*qd=*/8,
+                                       /*qos_depth=*/0);
     const bool ok = off.ok && on.ok && off.clock == on.clock &&
                     off.events == on.events;
     std::printf("  cores=%u: off=%llu ns (%llu ev)  on=%llu ns (%llu ev)  %s\n",
@@ -319,13 +269,13 @@ int main(int argc, char** argv) {
                 ok ? "IDENTICAL" : "DIVERGED");
     identity_ok = identity_ok && ok;
   }
-  std::printf("gate identity: %s\n\n", identity_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && identity_ok;
+  gates.Report("gate identity", identity_ok, "\n\n");
 
   // Gates (b) + (c) share one traced run behind a depth-capped QoS
   // scheduler (depth 2 under qd 8 forces real queue waits).
-  RunOut traced = RunMixed(/*obs_on=*/true, /*cores=*/0, ops, /*qd=*/8,
-                           /*qos_depth=*/2);
+  TraceOut trace;
+  const bench::Outcome traced = RunMixed(/*obs_on=*/true, /*cores=*/0, ops,
+                                         /*qd=*/8, /*qos_depth=*/2, &trace);
   if (!traced.ok) {
     std::printf("traced run FAILED\n");
     return 1;
@@ -334,7 +284,7 @@ int main(int argc, char** argv) {
   // Gate (b): per-op exclusive stage durations sum to the end-to-end
   // latency within 1% (equal by construction; 1% is the acceptance bar).
   uint64_t checked = 0, exact = 0, violations = 0;
-  for (const obs::OpRecord& r : traced.completed) {
+  for (const obs::OpRecord& r : trace.completed) {
     sim::SimTime sum = 0;
     for (size_t s = 0; s < obs::kNumStages; ++s) sum += r.stage_ns[s];
     checked++;
@@ -347,30 +297,27 @@ int main(int argc, char** argv) {
       violations++;
     }
   }
-  const bool exact_ok = checked > 0 && violations == 0;
+  const bool exact_ok = gates.Record(checked > 0 && violations == 0);
   std::printf("gate exact: %llu ops checked, %llu bit-exact, %llu beyond "
               "1%%: %s\n\n",
               static_cast<unsigned long long>(checked),
               static_cast<unsigned long long>(exact),
               static_cast<unsigned long long>(violations),
-              exact_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && exact_ok;
+              bench::PassFail(exact_ok));
 
   // Gate (c): the Chrome trace parses and has >= 1 span per layer.
-  JsonParser parser(traced.trace_json);
+  JsonParser parser(trace.json);
   const bool parsed = parser.Parse();
   bool layers_ok = parsed;
   std::printf("gate layers: trace %zu spans (%llu dropped), parse=%s\n",
-              traced.trace_spans,
-              static_cast<unsigned long long>(traced.trace_dropped),
+              trace.spans, static_cast<unsigned long long>(trace.dropped),
               parsed ? "ok" : "SYNTAX ERROR");
   for (const char* layer : {"qos", "wb", "crypto", "store", "device"}) {
     const bool present = parser.names().count(layer) > 0;
     std::printf("  %-7s %s\n", layer, present ? "present" : "MISSING");
     layers_ok = layers_ok && present;
   }
-  std::printf("gate layers: %s\n\n", layers_ok ? "PASS" : "FAIL");
-  all_ok = all_ok && layers_ok;
+  gates.Report("gate layers", layers_ok, "\n\n");
 
   // Artifacts for CI: gate verdicts + the machine-readable fio result, and
   // the sample trace itself.
@@ -380,14 +327,15 @@ int main(int argc, char** argv) {
   summary += exact_ok ? "true" : "false";
   summary += ",\"layers\":";
   summary += layers_ok ? "true" : "false";
-  summary += "},\"fio\":" + traced.result_json + "}\n";
-  if (!WriteFile("bench-obs.json", summary) ||
-      !WriteFile("bench-obs-trace.json", traced.trace_json)) {
+  summary += "},\"fio\":" + traced.results[0].ToJson() + "}\n";
+  if (!bench::WriteFile("bench-obs.json", summary) ||
+      !bench::WriteFile("bench-obs-trace.json", trace.json)) {
     std::printf("failed to write artifacts\n");
     return 1;
   }
   std::printf("wrote bench-obs.json and bench-obs-trace.json\n");
 
-  std::printf("\nbench_obs: %s\n", all_ok ? "ALL GATES PASS" : "FAILED");
-  return all_ok ? 0 : 1;
+  std::printf("\nbench_obs: %s\n",
+              gates.ok() ? "ALL GATES PASS" : "FAILED");
+  return bench::ExitCode(gates.ok());
 }

@@ -5,9 +5,13 @@
 //
 // This bench prints the THEORETICAL sector counts per layout and IO size
 // and then validates them against the simulated device's actual sector
-// counters for single-op writes on a one-OSD store.
+// counters for single-op writes on a one-OSD store. It exits non-zero if
+// any measured cell differs from its theory.
+//
+// Usage: bench_sector_model
 #include <cstdio>
 
+#include "cluster_fixture.h"
 #include "core/format.h"
 #include "device/nvme.h"
 #include "objstore/object_store.h"
@@ -66,8 +70,7 @@ SectorCount Theoretical(core::IvLayout layout, uint64_t io,
 // Measured: apply one write transaction on a fresh store, count sectors.
 SectorCount Measured(const core::EncryptionSpec& spec, uint64_t io) {
   SectorCount out{0, 0};
-  sim::Scheduler sched;
-  auto body = [&]() -> sim::Task<void> {
+  bench::RunSim([&]() -> sim::Task<void> {
     auto nvme = std::make_shared<dev::NvmeDevice>();
     objstore::StoreConfig cfg;
     cfg.journal_size = 8ull << 20;
@@ -95,9 +98,7 @@ SectorCount Measured(const core::EncryptionSpec& spec, uint64_t io) {
     co_await (*store)->Drain();
     out.written = (*store)->stats().apply_sectors_written;
     out.rmw_read = (*store)->stats().rmw_sectors;
-  };
-  sched.Spawn(body());
-  sched.Run();
+  });
   return out;
 }
 
@@ -112,24 +113,16 @@ int main() {
   std::printf("%8s | %22s | %22s | %22s | %22s\n", "IO size",
               "LUKS2 (theory/meas)", "Unaligned", "Object end", "OMAP");
 
-  struct Case {
-    const char* name;
-    core::EncryptionSpec spec;
-  };
-  const Case cases[] = {
-      {"LUKS2", {}},
-      {"Unaligned",
-       {core::CipherMode::kXtsRandom, core::IvLayout::kUnaligned}},
-      {"Object end",
-       {core::CipherMode::kXtsRandom, core::IvLayout::kObjectEnd}},
-      {"OMAP", {core::CipherMode::kXtsRandom, core::IvLayout::kOmap}},
-  };
-
+  int cells = 0, matched = 0;
   for (uint64_t io = 4096; io <= (1ull << 20); io *= 2) {
     std::printf("%8lluK", static_cast<unsigned long long>(io >> 10));
-    for (const auto& c : cases) {
+    for (const auto& c : bench::PaperSpecs()) {
       const auto theory = Theoretical(c.spec.layout, io, /*first_block=*/1);
       const auto meas = Measured(c.spec, io);
+      cells++;
+      if (theory.written == meas.written && theory.rmw_read == meas.rmw_read) {
+        matched++;
+      }
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%llu+%lluR / %llu+%lluR",
                     static_cast<unsigned long long>(theory.written),
@@ -142,5 +135,8 @@ int main() {
   }
   std::printf("\nPaper's examples: 4K write -> 2 sectors vs 1 baseline; "
               "32K -> 9 vs 8. ('xR' = extra RMW sector reads)\n");
-  return 0;
+  std::printf("\ntheory == measured: %d of %d cells\n", matched, cells);
+  bench::Gates gates;
+  gates.Record(matched == cells);
+  return gates.Finish();
 }

@@ -21,7 +21,6 @@
 // Usage: bench_trim [--quick]
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 
 #include "cluster_fixture.h"
 
@@ -31,15 +30,6 @@ using namespace vde;
 
 constexpr uint64_t kBlk = core::kBlockSize;
 constexpr uint64_t kObjSize = 4ull << 20;
-
-rados::ClusterConfig TrimCluster() {
-  rados::ClusterConfig cfg = bench::PaperCluster();
-  cfg.nodes = 1;
-  cfg.osds_per_node = 4;
-  cfg.replication = 1;
-  cfg.pg_count = 32;
-  return cfg;
-}
 
 struct TrimPoint {
   uint64_t trimmed_bytes = 0;    // data bytes discarded
@@ -56,18 +46,11 @@ struct TrimPoint {
 // reread the trimmed halves.
 TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
   TrimPoint point;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TrimCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
 
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
+    rbd::ImageOptions options = bench::BenchImage(1ull << 30, spec);
     options.iv_cache.enabled = true;
     options.iv_cache.max_objects = objects + 8;
     auto image =
@@ -113,10 +96,7 @@ TrimPoint RunTrimPoint(const core::EncryptionSpec& spec, size_t objects) {
     point.zero_reads = img_after.trim_zero_reads - img_before.trim_zero_reads;
     point.reread_all_zero = all_zero;
     point.ok = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   if (!point.ok) {
     std::fprintf(stderr, "RunTrimPoint failed: %s\n", spec.Name().c_str());
   }
@@ -129,19 +109,11 @@ bool RunEraseChannelPoint(const core::EncryptionSpec& spec) {
   bool forged_rejected = false;
   bool trim_reads_zero = false;
   bool ran = false;
-  sim::Scheduler sched;
-
-  auto body = [&]() -> sim::Task<void> {
-    auto cluster = co_await rados::Cluster::Create(TrimCluster());
+  bench::RunSim([&]() -> sim::Task<void> {
+    auto cluster = co_await rados::Cluster::Create(bench::SmallCluster());
     if (!cluster.ok()) co_return;
-    rbd::ImageOptions options;
-    options.size = 64ull << 20;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    auto image =
-        co_await rbd::Image::Create(**cluster, "erase", "pw", options);
+    auto image = co_await rbd::Image::Create(
+        **cluster, "erase", "pw", bench::BenchImage(64ull << 20, spec));
     if (!image.ok()) co_return;
     auto& img = **image;
 
@@ -188,21 +160,14 @@ bool RunEraseChannelPoint(const core::EncryptionSpec& spec) {
     auto forged = co_await img.Read(0, kBlk);
     forged_rejected = forged.status().code() == StatusCode::kCorruption;
     ran = true;
-  };
-
-  sched.Spawn(body());
-  sched.Run();
+  });
   return ran && forged_rejected && trim_reads_zero;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const size_t objects = quick ? 4 : 16;
+  const size_t objects = bench::HasFlag(argc, argv, "--quick") ? 4 : 16;
 
   const core::EncryptionSpec plain_oe{core::CipherMode::kXtsRandom,
                                       core::IvLayout::kObjectEnd};
@@ -226,24 +191,19 @@ int main(int argc, char** argv) {
   std::printf("%-22s | %9s %9s | %8s %9s %7s | %s\n", "spec", "trimmed",
               "freed", "dev_rds", "meta_B", "zfills", "gate");
 
-  bool gates_ok = true;
-  struct SpecRow {
-    const char* name;
-    const core::EncryptionSpec* spec;
-  };
-  const SpecRow rows[] = {{"xts-random/object-end", &plain_oe},
-                          {"hmac/object-end", &hmac_oe},
-                          {"hmac/omap", &hmac_omap},
-                          {"gcm/object-end", &gcm_oe}};
-  for (const SpecRow& row : rows) {
-    const TrimPoint p = RunTrimPoint(*row.spec, objects);
+  bench::Gates gates;
+  const bench::NamedSpec rows[] = {{"xts-random/object-end", plain_oe},
+                                   {"hmac/object-end", hmac_oe},
+                                   {"hmac/omap", hmac_omap},
+                                   {"gcm/object-end", gcm_oe}};
+  for (const bench::NamedSpec& row : rows) {
+    const TrimPoint p = RunTrimPoint(row.spec, objects);
     const bool reclaimed =
         p.freed_bytes >= static_cast<int64_t>(p.trimmed_bytes);
     const bool fast =
         p.reread_dev_reads == 0 && p.reread_meta_bytes == 0 &&
         p.zero_reads > 0 && p.reread_all_zero;
-    const bool pass = p.ok && reclaimed && fast;
-    gates_ok = gates_ok && pass;
+    const bool pass = gates.Record(p.ok && reclaimed && fast);
     std::printf("%-22s | %7.1fMB %7.1fMB | %8llu %9llu %7llu | %s%s\n",
                 row.name,
                 static_cast<double>(p.trimmed_bytes) / (1 << 20),
@@ -251,27 +211,25 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(p.reread_dev_reads),
                 static_cast<unsigned long long>(p.reread_meta_bytes),
                 static_cast<unsigned long long>(p.zero_reads),
-                pass ? "PASS" : "FAIL",
+                bench::PassFail(pass),
                 pass ? "" : (reclaimed ? " (fast path)" : " (reclaim)"));
     std::fflush(stdout);
   }
 
   std::printf("\nErase channel: attacker-zeroed live block vs authentic "
               "trim\n");
-  const SpecRow auth_rows[] = {{"hmac/object-end", &hmac_oe},
-                               {"hmac/omap", &hmac_omap},
-                               {"hmac/unaligned", &hmac_unaligned},
-                               {"gcm/object-end", &gcm_oe},
-                               {"gcm/omap", &gcm_omap}};
-  for (const SpecRow& row : auth_rows) {
-    const bool pass = RunEraseChannelPoint(*row.spec);
-    gates_ok = gates_ok && pass;
+  const bench::NamedSpec auth_rows[] = {{"hmac/object-end", hmac_oe},
+                                        {"hmac/omap", hmac_omap},
+                                        {"hmac/unaligned", hmac_unaligned},
+                                        {"gcm/object-end", gcm_oe},
+                                        {"gcm/omap", gcm_omap}};
+  for (const bench::NamedSpec& row : auth_rows) {
+    const bool pass = gates.Record(RunEraseChannelPoint(row.spec));
     std::printf("  %-20s forged discard rejected, authentic reads zero: "
                 "%s\n",
-                row.name, pass ? "PASS" : "FAIL");
+                row.name, bench::PassFail(pass));
     std::fflush(stdout);
   }
 
-  std::printf("gates: %s\n", gates_ok ? "PASS" : "FAIL");
-  return gates_ok ? 0 : 1;
+  return gates.Finish();
 }

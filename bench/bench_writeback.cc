@@ -7,7 +7,6 @@
 //
 // Usage: bench_writeback [--quick]
 #include <cstdio>
-#include <cstring>
 
 #include "cluster_fixture.h"
 
@@ -19,87 +18,50 @@ struct WbPoint {
   double txns_per_write = 0;
   double rmw_per_write = 0;
   double p50_us = 0;
-  double p99_us = 0;
-  double iops = 0;
   uint64_t wb_hits = 0;
   uint64_t wb_flushes = 0;
-  bool ok = false;
 };
-
-uint64_t StoreTxns(rados::Cluster& cluster) {
-  uint64_t n = 0;
-  for (size_t i = 0; i < cluster.osd_count(); ++i) {
-    n += cluster.osd(i).store().stats().transactions;
-  }
-  return n;
-}
 
 WbPoint RunDbPoint(const core::EncryptionSpec& spec, bool coalesce,
                    uint64_t ops) {
-  WbPoint point;
-  sim::Scheduler sched;
+  bench::Point point;
+  // Single replica so store transaction counts map 1:1 to client
+  // transactions.
+  point.cluster = bench::SmallCluster();
+  rbd::ImageOptions options = bench::BenchImage(1ull << 30, spec);
+  options.writeback.coalesce = coalesce;
+  workload::FioConfig fio = workload::FioConfig::Db();
+  fio.total_ops = ops;
+  fio.working_set = 64ull << 20;
+  point.tenants.push_back({"wbbench", options, fio, /*prefill=*/true});
+  // The durability barrier after the run: staged blocks flush there and
+  // count too.
+  point.after_prefill = {bench::Step::kFlush, bench::Step::kDrain};
+  point.after_run = {bench::Step::kFlush, bench::Step::kDrain};
 
-  auto body = [&]() -> sim::Task<void> {
-    // Single replica so store transaction counts map 1:1 to client
-    // transactions (replication multiplies both sides equally anyway).
-    rados::ClusterConfig cfg = bench::PaperCluster();
-    cfg.nodes = 1;
-    cfg.osds_per_node = 4;
-    cfg.replication = 1;
-    cfg.pg_count = 32;
-    auto cluster = co_await rados::Cluster::Create(cfg);
-    if (!cluster.ok()) co_return;
-
-    rbd::ImageOptions options;
-    options.size = 1ull << 30;
-    options.enc = spec;
-    options.enc.iv_seed = 1;
-    options.luks.pbkdf2_iterations = 10;
-    options.luks.af_stripes = 8;
-    options.writeback.coalesce = coalesce;
-    auto image =
-        co_await rbd::Image::Create(**cluster, "wbbench", "pw", options);
-    if (!image.ok()) co_return;
-    auto& img = **image;
-
-    workload::FioConfig fio = workload::FioConfig::Db();
-    fio.total_ops = ops;
-    fio.working_set = 64ull << 20;
-    workload::FioRunner runner(img, fio);
-    if (!(co_await runner.Prefill()).ok()) co_return;
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
-
-    const uint64_t txns_before = StoreTxns(**cluster);
-    const uint64_t rmw_before = img.stats().rmw_blocks;
-    const uint64_t writes_before = img.stats().writes;
-    auto result = co_await runner.Run();
-    if (!result.ok()) co_return;
-    // The durability barrier: staged blocks flush here and count too.
-    if (!(co_await img.Flush()).ok()) co_return;
-    co_await (*cluster)->Drain();
-
-    const double writes =
-        static_cast<double>(img.stats().writes - writes_before);
-    point.txns_per_write =
-        static_cast<double>(StoreTxns(**cluster) - txns_before) / writes;
-    point.rmw_per_write =
-        static_cast<double>(img.stats().rmw_blocks - rmw_before) / writes;
-    point.p50_us = result->latency_ns.Percentile(50) / 1000.0;
-    point.p99_us = result->latency_ns.Percentile(99) / 1000.0;
-    point.iops = result->Iops();
-    point.wb_hits = img.stats().wb_hits;
-    point.wb_flushes = img.stats().wb_flushes;
-    point.ok = true;
+  WbPoint out;
+  uint64_t txns_before = 0, rmw_before = 0, writes_before = 0;
+  point.probe = [&](bench::Phase phase, rados::Cluster& cluster,
+                    const bench::Images& images) {
+    const rbd::ImageStats& stats = images[0]->stats();
+    if (phase == bench::Phase::kRunStart) {
+      txns_before = cluster.TotalStoreStats().transactions;
+      rmw_before = stats.rmw_blocks;
+      writes_before = stats.writes;
+      return;
+    }
+    const double writes = static_cast<double>(stats.writes - writes_before);
+    const uint64_t txns = cluster.TotalStoreStats().transactions;
+    out.txns_per_write = static_cast<double>(txns - txns_before) / writes;
+    out.rmw_per_write =
+        static_cast<double>(stats.rmw_blocks - rmw_before) / writes;
+    out.wb_hits = stats.wb_hits;
+    out.wb_flushes = stats.wb_flushes;
   };
-
-  sched.Spawn(body());
-  sched.Run();
-  if (!point.ok) {
-    std::fprintf(stderr, "RunDbPoint failed: %s coalesce=%d\n",
-                 spec.Name().c_str(), coalesce);
-  }
-  return point;
+  const bench::Outcome run = bench::RunFio(
+      point, "RunDbPoint " + spec.Name() + (coalesce ? " coalesce" : ""));
+  out.p50_us = run.results[0].latency_ns.Percentile(50) / 1000.0;
+  return out;
 }
 
 }  // namespace
@@ -108,11 +70,7 @@ int main(int argc, char** argv) {
   using namespace vde;
   using namespace vde::bench;
 
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
-  const uint64_t ops = quick ? 1024 : 4096;
+  const uint64_t ops = HasFlag(argc, argv, "--quick") ? 1024 : 4096;
 
   std::printf("Write-back coalescing, db workload (512 B sequential stream, "
               "QD=8, %llu ops)\n",
@@ -136,5 +94,5 @@ int main(int argc, char** argv) {
                 on.p50_us);
     std::fflush(stdout);
   }
-  return 0;
+  return ExitCode();
 }

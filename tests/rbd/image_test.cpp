@@ -353,13 +353,14 @@ TEST(Image, CiphertextOnWireDiffersFromPlain) {
 
 // --- Header robustness: truncated / corrupt metadata must fail cleanly ---
 //
-// Serialized layout: magic(4) total_len(4) size(8) object_size(8) mode(1)
-// layout(1) integrity(1) encrypted(1) snap_count(4) snaps... luks_len(4)
-// luks_blob crc32c(4). The checksum trailer rejects truncated/corrupt
-// headers outright; every load in Image::Open is additionally
-// bounds-checked (the tests below re-seal the checksum so the parser
-// validation itself is exercised), and the ASan CI job turns any
-// regression into a loud failure.
+// Serialized layout: magic(4) total_len(4) size(8) object_size(8)
+// stripe_unit(8) stripe_count(8) mode(1) layout(1) integrity(1)
+// encrypted(1) snap_count(4) snaps... luks_len(4) luks_blob crc32c(4), so
+// the spec bytes start at offset 40 and snap_count sits at 44. The
+// checksum trailer rejects truncated/corrupt headers outright; every load
+// in Image::Open is additionally bounds-checked (the tests below re-seal
+// the checksum so the parser validation itself is exercised), and the
+// ASan CI job turns any regression into a loud failure.
 
 // Recomputes the checksum trailer after a test mutated header bytes.
 void SealHeader(Bytes& header) {
@@ -447,8 +448,11 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
              Patch{"total_len tiny", 4, 5},
              Patch{"total_len huge", 4, 0x7FFFFFFF},
              Patch{"object_size unaligned", 16, 12345},
-             Patch{"enc spec out of range", 24, 0x77777777},
-             Patch{"snap_count huge", 28, 0xFFFFFFFF},
+             Patch{"stripe_unit unaligned", 24, 0x77777777},
+             Patch{"stripe_unit past object_size", 28, 0xFFFFFFFF},
+             Patch{"stripe_count zero", 32, 0},
+             Patch{"enc spec out of range", 40, 0x77777777},
+             Patch{"snap_count huge", 44, 0xFFFFFFFF},
          }) {
       Bytes bad = *header;
       StoreU32Le(bad.data() + p.off, p.value);
@@ -468,6 +472,27 @@ TEST(Image, CorruptHeaderFieldsFailCleanly) {
     auto ok = co_await Image::Open(**cluster, "corrupt", "pw");
     CO_ASSERT_OK(ok.status());
     EXPECT_EQ((*ok)->snapshots().size(), 1u);
+
+    // A snap_count one past the table on a plain image. Open parses no
+    // LUKS blob there, so nothing behind the table catches a parser that
+    // stops early on a short table and rewinds: the snapshot loop itself
+    // must reject it. (On an encrypted image the misparse also breaks the
+    // LUKS length or blob.)
+    auto plain = co_await Image::Create(
+        **cluster, "plain", "pw",
+        TestImage(Spec(core::CipherMode::kNone, core::IvLayout::kNone)));
+    CO_ASSERT_OK(plain.status());
+    CO_ASSERT_OK((co_await (*plain)->SnapCreate("keep")).status());
+    auto plain_header = co_await ReadHeader(**cluster, "plain");
+    CO_ASSERT_OK(plain_header.status());
+    Bytes bad = *plain_header;
+    StoreU32Le(bad.data() + 44, 2);
+    SealHeader(bad);
+    CO_ASSERT_OK(co_await io.WriteFull("rbd_header.plain", bad));
+    EXPECT_FALSE((co_await Image::Open(**cluster, "plain", "pw")).ok())
+        << "snap_count past the table (plain image, sealed)";
+    CO_ASSERT_OK(co_await io.WriteFull("rbd_header.plain", *plain_header));
+    CO_ASSERT_OK((co_await Image::Open(**cluster, "plain", "pw")).status());
   });
 }
 
