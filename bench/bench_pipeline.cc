@@ -48,9 +48,8 @@ rados::ClusterConfig PipelineCluster() {
 bench::Outcome RunFioPoint(size_t cores, uint64_t stripe_unit,
                            uint64_t stripe_count, size_t images,
                            workload::FioConfig fio) {
-  // The LUKS2 baseline with iv_seed 0 (a master key from system entropy),
-  // as this bench has always run it: no number here depends on key bits.
-  rbd::ImageOptions options = bench::BenchImage(1ull << 30, {}, 0);
+  // The LUKS2 baseline.
+  rbd::ImageOptions options = bench::BenchImage(1ull << 30);
   options.stripe_unit = stripe_unit;
   options.stripe_count = stripe_count;
   bench::Point point;

@@ -48,16 +48,14 @@ inline rados::ClusterConfig SmallCluster() {
 }
 
 // Image options with the bench defaults: a cheap LUKS key derivation (10
-// PBKDF2 iterations, 8 AF stripes) and a fixed IV seed, so the master key
-// and every IV are the same on every run. iv_seed 0 draws them from system
-// entropy instead.
+// PBKDF2 iterations, 8 AF stripes) and IV seed 1, so the master key and
+// every IV are the same on every run.
 inline rbd::ImageOptions BenchImage(uint64_t size,
-                                    const core::EncryptionSpec& spec = {},
-                                    uint64_t iv_seed = 1) {
+                                    const core::EncryptionSpec& spec = {}) {
   rbd::ImageOptions options;
   options.size = size;
   options.enc = spec;
-  options.enc.iv_seed = iv_seed;
+  options.enc.iv_seed = 1;
   options.luks.pbkdf2_iterations = 10;
   options.luks.af_stripes = 8;
   return options;

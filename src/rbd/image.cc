@@ -477,6 +477,110 @@ sim::Task<void> Image::ChargeClientCpu(obs::TraceContext* trace,
   }
 }
 
+sim::Task<Result<Image::ReadWork>> Image::ReadExtents(
+    const std::string& oid, std::span<const ExtentRead> reads, IvCache* cache,
+    const core::DiscardBitmap* zeros, objstore::SnapId snap,
+    obs::TraceContext* trace) {
+  core::EncryptionFormat& fmt = *format_;
+  // Each extent plans independently; the format decides what a block read
+  // needs for its layout (data+IV range, IV region slice, OMAP rows).
+  // Extents resting on cleared markers plan a zero-fill and consume
+  // nothing from the result.
+  objstore::Transaction txn;
+  std::vector<CachedExtentRead> plans;
+  plans.reserve(reads.size());
+  for (const ExtentRead& r : reads) {
+    plans.emplace_back(cache, fmt, r.ext, zeros);
+    plans.back().AppendOps(txn);
+  }
+  objstore::ReadResult fetched;
+  if (!txn.ops.empty()) {
+    txn.trace = trace;
+    obs::SpanScope store_span(trace, obs::Stage::kStore);
+    auto got = co_await io().OperateRead(oid, std::move(txn), snap);
+    store_span.End();
+    if (got.status().IsNotFound()) {
+      // Never-written object: virtual disks read zeros.
+      for (const ExtentRead& r : reads) {
+        std::fill(r.out.begin(), r.out.end(), 0);
+      }
+      co_return ReadWork{};
+    }
+    if (!got.ok()) co_return got.status();
+    fetched = std::move(*got);
+  }
+  // Finish is synchronous, so the decompressed-blocks delta around the
+  // loop is exactly these extents' expansions (no interleaving).
+  ReadWork work;
+  const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
+  size_t data_off = 0;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const size_t nbytes = plans[i].read_bytes();
+    if (data_off + nbytes > fetched.data.size()) {
+      co_return Status::IoError("short read");
+    }
+    if (nbytes == fetched.data.size()) {
+      // The one extent that fetched anything reads the result as is.
+      VDE_CO_RETURN_IF_ERROR(plans[i].Finish(fetched, reads[i].out));
+    } else {
+      objstore::ReadResult slice;
+      slice.data.assign(
+          fetched.data.begin() + static_cast<long>(data_off),
+          fetched.data.begin() + static_cast<long>(data_off + nbytes));
+      slice.omap_values = fetched.omap_values;  // formats match rows by key
+      VDE_CO_RETURN_IF_ERROR(plans[i].Finish(slice, reads[i].out));
+    }
+    data_off += nbytes;
+    if (!plans[i].zero_fill()) work.decrypted_blocks += reads[i].ext.block_count;
+  }
+  work.expanded_blocks =
+      fmt.compress_stats().decompressed_blocks - expanded_before;
+  co_return work;
+}
+
+sim::Task<void> Image::ChargeRead(obs::TraceContext* trace,
+                                  const std::string& oid,
+                                  ReadWork work) const {
+  if (work.decrypted_blocks == 0) co_return;
+  co_await ChargeClientCpu(
+      trace, oid, format_->CryptoCost(work.decrypted_blocks * core::kBlockSize),
+      format_->DecompressCost(work.expanded_blocks * core::kBlockSize));
+}
+
+sim::Task<Status> Image::PrepareMutation(uint64_t object_no,
+                                         obs::TraceContext* trace) {
+  VDE_CO_RETURN_IF_ERROR(co_await EnsureObjectState(object_no, trace));
+  if (meta_store_ != nullptr && meta_store_->NeedsDirtyMark()) {
+    co_return co_await meta_store_->MarkDirty();
+  }
+  co_return Status::Ok();
+}
+
+sim::Task<Status> Image::CommitObjectTxn(
+    const std::string& oid, uint64_t object_no, objstore::Transaction txn,
+    const BlockRuns& written, const BlockRuns& trimmed,
+    obs::TraceContext* trace, std::optional<CpuCost> cpu) {
+  auto update = co_await trim_state_->Stage(object_no, written, trimmed, txn);
+  VDE_CO_RETURN_IF_ERROR(update.status());
+  if (cpu.has_value()) {
+    co_await ChargeClientCpu(trace, oid, cpu->cipher, cpu->codec);
+  }
+  txn.trace = trace;
+  obs::SpanScope store_span(trace, obs::Stage::kStore);
+  VDE_CO_RETURN_IF_ERROR(
+      co_await io().Operate(oid, std::move(txn), SnapContext()));
+  store_span.End();
+  trim_state_->Commit(std::move(*update));
+  co_return Status::Ok();
+}
+
+sim::Task<Status> Image::MaybeFlushJournal() {
+  if (meta_store_ != nullptr && meta_store_->JournalPressure()) {
+    co_return co_await meta_store_->FlushJournal();
+  }
+  co_return Status::Ok();
+}
+
 sim::Task<Status> Image::PersistMetadata() {
   auto io = this->io();
   co_return co_await io.WriteFull(

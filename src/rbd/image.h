@@ -18,7 +18,9 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -340,7 +342,10 @@ class Image {
   // Per-object state priming for the datapath: warm-loads the object's
   // persisted IV rows off the metadata plane (once per object), then
   // Ensures its discard bitmap (served from the plane on a warm open,
-  // from the store otherwise). Replaces bare trim_state_->Ensure calls.
+  // from the store otherwise). Every datapath site uses this except
+  // Writeback::ReadBlock, which Ensures the bitmap only and so warms no IV
+  // rows for stage-creation reads; switching it moves the clock of
+  // plane-on staging flows, so it waits for a declared rebaseline.
   // Attributes its store round-trips to the request's kStore stage.
   sim::Task<Status> EnsureObjectState(uint64_t object_no,
                                       obs::TraceContext* trace = nullptr);
@@ -355,6 +360,54 @@ class Image {
                                          const std::string& oid,
                                          sim::SimTime cipher,
                                          sim::SimTime codec);
+
+  // The datapath's one read path and one commit path. Callers keep what
+  // differs between sites: holds, staged overlays, the bitmap they thread,
+  // cache puts, and where the client CPU lands.
+  struct ExtentRead {  // an extent of one object and its plaintext buffer
+    core::ObjectExtent ext;
+    MutByteSpan out;
+  };
+  struct ReadWork {  // blocks decrypted and, of those, expanded
+    size_t decrypted_blocks = 0;
+    uint64_t expanded_blocks = 0;
+  };
+  // Plans each extent against `cache` (null for snapshot reads), batches
+  // them into ONE read transaction (none when every plan zero-fills),
+  // reads zeros for a never-written object, and decrypts each slice with
+  // the verified discard bitmap `zeros` (may be null). Charges nothing.
+  sim::Task<Result<ReadWork>> ReadExtents(const std::string& oid,
+                                          std::span<const ExtentRead> reads,
+                                          IvCache* cache,
+                                          const core::DiscardBitmap* zeros,
+                                          objstore::SnapId snap,
+                                          obs::TraceContext* trace);
+  // Charges `work` on `oid`'s core; no event when nothing was decrypted.
+  sim::Task<void> ChargeRead(obs::TraceContext* trace, const std::string& oid,
+                             ReadWork work) const;
+
+  // Before a request mutates an object: EnsureObjectState and, before the
+  // session's first store mutation, the plane's dirty mark (write-through,
+  // so a crash cold-starts the next open).
+  sim::Task<Status> PrepareMutation(uint64_t object_no,
+                                    obs::TraceContext* trace);
+  struct CpuCost {  // client CPU charged between bitmap stage and apply
+    sim::SimTime cipher = 0;
+    sim::SimTime codec = 0;
+  };
+  // One atomic per-object mutation (§3.1): stages the bitmap update
+  // (`written` blocks go live, `trimmed` ones zero-legit) into `txn`,
+  // charges `cpu` if set, applies `txn` under a kStore span and commits
+  // the bitmap (a failed apply aborts it).
+  sim::Task<Status> CommitObjectTxn(const std::string& oid, uint64_t object_no,
+                                    objstore::Transaction txn,
+                                    const BlockRuns& written,
+                                    const BlockRuns& trimmed,
+                                    obs::TraceContext* trace,
+                                    std::optional<CpuCost> cpu = {});
+  // Commits the plane's write-behind journal once enough rows pend (one
+  // WAL frame per batch); runs at datapath request ends.
+  sim::Task<Status> MaybeFlushJournal();
 
   // Flush ordering: write-class requests take a ticket at submit time and
   // retire it on completion; a flush barrier resolves once no ticket below

@@ -374,7 +374,6 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   }
   HoldGuard held(wb, holds_[idx]);
 
-  core::EncryptionFormat& fmt = *image_.format_;
   const size_t cover_bytes = chunk.cover.block_count * kBlockSize;
   // Block-aligned chunks landing in one iovec segment decrypt straight
   // into the caller's buffer; otherwise go through a scratch cover.
@@ -392,61 +391,33 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
   // the stage cannot change while we hold it). A cover whose every block
   // is staged needs no store read at all: the stages ARE the content —
   // the hot read-after-write path of the db workload.
-  const bool overlay = snap_ == objstore::kHeadSnap;
-  bool decrypted = false;
-  uint64_t expanded = 0;
-  bool fully_staged = overlay;
-  if (overlay) {
-    for (size_t b = 0; fully_staged && b < chunk.cover.block_count; ++b) {
-      fully_staged = wb.Staged(chunk.cover.object_no,
-                               chunk.cover.first_block + b) != nullptr;
-    }
+  const bool head = snap_ == objstore::kHeadSnap;
+  Image::ReadWork work;
+  bool fully_staged = head;
+  for (size_t b = 0; fully_staged && b < chunk.cover.block_count; ++b) {
+    fully_staged = wb.Staged(chunk.cover.object_no,
+                             chunk.cover.first_block + b) != nullptr;
   }
   if (!fully_staged) {
     // Head reads on an authenticating format carry the object's verified
     // discard bitmap into FinishRead (the erase-channel check); snapshot
     // reads carry none — a clone's cleared blocks keep legacy semantics.
-    const bool head = snap_ == objstore::kHeadSnap;
     const core::DiscardBitmap* zeros = nullptr;
     if (head && image_.trim_state_->enabled()) {
       VDE_CO_RETURN_IF_ERROR(
           co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
       zeros = image_.trim_state_->Lookup(chunk.cover.object_no);
     }
-    objstore::Transaction txn;
     // A fully-cached extent reads data-only and decrypts with the resident
     // IV rows; snapshot reads bypass the cache (rows describe the head).
-    CachedExtentRead plan(head ? image_.iv_cache_.get() : nullptr, fmt,
-                          chunk.cover, zeros);
-    plan.AppendOps(txn);
-    if (plan.zero_fill()) {
-      // Every block is a resident cleared marker: the extent is TRIMmed
-      // end to end and reads zeros without any store round-trip.
-      VDE_CO_RETURN_IF_ERROR(plan.Finish(objstore::ReadResult{}, out));
-    } else {
-      auto io = image_.io();
-      txn.trace = ctx();
-      obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-      auto got =
-          co_await io.OperateRead(chunk.cover.oid, std::move(txn), snap_);
-      store_span.End();
-      if (got.status().IsNotFound()) {
-        // Never-written object: virtual disks read zeros.
-        std::fill(out.begin(), out.end(), 0);
-      } else if (!got.ok()) {
-        co_return got.status();
-      } else {
-        // Finish is synchronous, so the decompressed-blocks delta around it
-        // is exactly this cover's expansions (no interleaving).
-        const uint64_t expanded_before =
-            fmt.compress_stats().decompressed_blocks;
-        VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
-        expanded = fmt.compress_stats().decompressed_blocks - expanded_before;
-        decrypted = true;
-      }
-    }
+    const Image::ExtentRead read{chunk.cover, out};
+    auto got = co_await image_.ReadExtents(
+        chunk.cover.oid, {&read, 1}, head ? image_.iv_cache_.get() : nullptr,
+        zeros, snap_, ctx());
+    VDE_CO_RETURN_IF_ERROR(got.status());
+    work = *got;
   }
-  if (overlay) {
+  if (head) {
     for (size_t b = 0; b < chunk.cover.block_count; ++b) {
       if (const Bytes* staged =
               wb.Staged(chunk.cover.object_no, chunk.cover.first_block + b)) {
@@ -458,23 +429,15 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
     ScatterTo(chunk.buf_off, ByteSpan(scratch.data() + chunk.byte_off,
                                       chunk.byte_len));
   }
-  // Read-populated IV rows spill into the meta journal; commit a batch at
-  // request end once enough pend (write-behind, one WAL frame per batch).
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
+  // Read-populated IV rows spill into the meta journal.
+  VDE_CO_RETURN_IF_ERROR(co_await image_.MaybeFlushJournal());
   // Client-side decrypt of the cover that really hit the cipher (partial
   // blocks decrypt whole even if the guest asked for 512 B of them), then
   // expansion of the blocks stored compressed; staged covers cost nothing.
   // Charged outside the hold, on the object's core: chunks of different
   // objects decrypt concurrently.
   held.Release();
-  if (decrypted) {
-    co_await Image::ChargeClientCpu(ctx(), chunk.cover.oid,
-                                    fmt.CryptoCost(cover_bytes),
-                                    fmt.DecompressCost(expanded * kBlockSize));
-  }
+  co_await image_.ChargeRead(ctx(), chunk.cover.oid, work);
   co_return Status::Ok();
 }
 
@@ -483,37 +446,25 @@ sim::Task<Status> ImageRequest::ReadChunk(size_t idx) {
 sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
                                              MutByteSpan head_block,
                                              MutByteSpan tail_block) {
-  struct Edge {
-    core::ObjectExtent ext;
-    MutByteSpan out;
-  };
-  std::vector<Edge> edges;
-  if (!head_block.empty()) {
-    edges.push_back({SubExtent(chunk.cover, 0, 1), head_block});
-  }
-  if (!tail_block.empty()) {
-    edges.push_back(
-        {SubExtent(chunk.cover, chunk.cover.block_count - 1, 1), tail_block});
-  }
-  if (edges.empty()) co_return Status::Ok();
-
   // Edges whose block sits in the write-back buffer read from the stage —
   // that IS the current block content, and the store copy may be stale.
   Writeback& wb = *image_.writeback_;
-  std::vector<Edge> from_store;
-  for (auto& e : edges) {
+  std::vector<Image::ExtentRead> from_store;
+  auto edge = [&](size_t blk, MutByteSpan out) {
+    if (out.empty()) return;
     if (const Bytes* staged =
-            wb.Staged(chunk.cover.object_no, e.ext.first_block)) {
-      std::memcpy(e.out.data(), staged->data(), kBlockSize);
+            wb.Staged(chunk.cover.object_no, chunk.cover.first_block + blk)) {
+      std::memcpy(out.data(), staged->data(), kBlockSize);
       image_.stats_.rmw_merged++;
     } else {
-      from_store.push_back(e);
+      from_store.push_back({SubExtent(chunk.cover, blk, 1), out});
     }
-  }
+  };
+  edge(0, head_block);
+  edge(chunk.cover.block_count - 1, tail_block);
   if (from_store.empty()) co_return Status::Ok();
   image_.stats_.rmw_blocks += from_store.size();
 
-  core::EncryptionFormat& fmt = *image_.format_;
   // RMW reads merge into the head: load + thread the discard bitmap.
   const core::DiscardBitmap* zeros = nullptr;
   if (image_.trim_state_->enabled()) {
@@ -523,56 +474,12 @@ sim::Task<Status> ImageRequest::RmwReadEdges(const Chunk& chunk,
   }
   // All RMW sub-reads of this object ride ONE read transaction; each edge
   // plans against the IV cache independently (RMW edges are the hot
-  // single-block case where even the interleaved layout profits), and the
-  // format decides what a block read needs for its layout (data+IV range,
-  // IV region slice, OMAP rows). Edges resting on cleared markers plan a
-  // zero-fill and consume nothing from the result — when EVERY edge does,
-  // the store round-trip is skipped outright.
-  objstore::Transaction txn;
-  std::vector<CachedExtentRead> plans;
-  plans.reserve(from_store.size());
-  for (const auto& e : from_store) {
-    plans.emplace_back(image_.iv_cache_.get(), fmt, e.ext, zeros);
-    plans.back().AppendOps(txn);
-  }
-  objstore::ReadResult fetched;
-  if (!txn.ops.empty()) {
-    auto io = image_.io();
-    txn.trace = ctx();
-    obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-    auto got =
-        co_await io.OperateRead(chunk.cover.oid, std::move(txn),
-                                objstore::kHeadSnap);
-    store_span.End();
-    if (got.status().IsNotFound()) co_return Status::Ok();  // reads as zeros
-    if (!got.ok()) co_return got.status();
-    fetched = std::move(*got);
-  }
-
-  size_t data_off = 0;
-  size_t decrypted_blocks = 0;
-  const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
-  for (size_t i = 0; i < from_store.size(); ++i) {
-    const size_t nbytes = plans[i].read_bytes();
-    if (data_off + nbytes > fetched.data.size()) {
-      co_return Status::IoError("short RMW read");
-    }
-    objstore::ReadResult slice;
-    slice.data.assign(
-        fetched.data.begin() + static_cast<long>(data_off),
-        fetched.data.begin() + static_cast<long>(data_off + nbytes));
-    slice.omap_values = fetched.omap_values;  // formats match rows by key
-    data_off += nbytes;
-    VDE_CO_RETURN_IF_ERROR(plans[i].Finish(slice, from_store[i].out));
-    if (!plans[i].zero_fill()) decrypted_blocks++;
-  }
-  if (decrypted_blocks > 0) {
-    const uint64_t expanded =
-        fmt.compress_stats().decompressed_blocks - expanded_before;
-    co_await Image::ChargeClientCpu(
-        ctx(), chunk.cover.oid, fmt.CryptoCost(decrypted_blocks * kBlockSize),
-        fmt.DecompressCost(expanded * kBlockSize));
-  }
+  // single-block case where even the interleaved layout profits).
+  auto work = co_await image_.ReadExtents(chunk.cover.oid, from_store,
+                                          image_.iv_cache_.get(), zeros,
+                                          objstore::kHeadSnap, ctx());
+  VDE_CO_RETURN_IF_ERROR(work.status());
+  co_await image_.ChargeRead(ctx(), chunk.cover.oid, *work);
   co_return Status::Ok();
 }
 
@@ -633,94 +540,53 @@ sim::Task<Status> ImageRequest::WriteChunk(size_t idx) {
     co_return co_await StageChunk(chunk);
   }
 
-  TrimState& ts = *image_.trim_state_;
-  const uint64_t last_block =
-      chunk.cover.first_block + chunk.cover.block_count - 1;
   const bool head_partial = chunk.byte_off % kBlockSize != 0;
   const bool tail_partial = (chunk.byte_off + chunk.byte_len) % kBlockSize != 0;
-  // Writing makes these blocks live: if any was marked zero-legit in the
-  // discard bitmap, the SAME transaction carries the updated MAC'd bitmap
-  // (steady-state overwrites of live blocks stage nothing).
-  const std::vector<std::pair<uint64_t, size_t>> written_range{
-      {chunk.cover.first_block, chunk.cover.block_count}};
   VDE_CO_RETURN_IF_ERROR(
-      co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-  // First store mutation of the session clears the plane's clean flag
-  // (write-through) so a crash cold-starts the next open.
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
+      co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
+  // A block-aligned chunk from one iovec segment encrypts straight from the
+  // caller's buffer, no staging copy; anything else is merged into a
+  // scratch cover, the partial edges read back first.
+  ByteSpan plain;
+  if (!head_partial && !tail_partial) {
+    plain = ContiguousSrc(chunk.buf_off, chunk.byte_len);
   }
+  Bytes scratch;
+  if (plain.empty()) {
+    scratch.assign(cover_bytes, 0);
+    if (head_partial || tail_partial) {
+      const size_t last = chunk.cover.block_count - 1;
+      MutByteSpan head, tail;
+      if (head_partial) head = MutByteSpan(scratch.data(), kBlockSize);
+      if (tail_partial && !(head_partial && last == 0)) {
+        tail = MutByteSpan(scratch.data() + last * kBlockSize, kBlockSize);
+      }
+      VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(chunk, head, tail));
+    }
+    GatherFrom(chunk.buf_off,
+               MutByteSpan(scratch.data() + chunk.byte_off, chunk.byte_len));
+    plain = scratch;
+  }
+  // Re-encrypt only the touched blocks. Writing makes them live: if any was
+  // zero-legit in the discard bitmap, the commit carries the updated MAC'd
+  // bitmap (steady-state overwrites of live blocks stage nothing).
   objstore::Transaction txn;
   core::IvRows ivs;
   core::IvRows* const ivs_out = image_.IvCapture(&ivs);
-  if (!head_partial && !tail_partial) {
-    // Block-aligned chunk from one iovec segment: encrypt straight from
-    // the caller's buffer, no staging copy.
-    const ByteSpan direct = ContiguousSrc(chunk.buf_off, chunk.byte_len);
-    if (!direct.empty()) {
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(chunk.cover, direct, txn, ivs_out));
-      auto update =
-          co_await ts.Stage(chunk.cover.object_no, written_range, {}, txn);
-      VDE_CO_RETURN_IF_ERROR(update.status());
-      auto io = image_.io();
-      txn.trace = ctx();
-      obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-      VDE_CO_RETURN_IF_ERROR(co_await io.Operate(
-          chunk.cover.oid, std::move(txn), image_.SnapContext()));
-      store_span.End();
-      ts.Commit(std::move(*update));
-      // Any staged blocks under this cover are fully superseded.
-      wb.DropRange(chunk.cover.object_no, chunk.cover.first_block, last_block);
-      if (ivs_out != nullptr) {
-        image_.iv_cache_->PutRange(chunk.cover.object_no,
-                                   chunk.cover.first_block, ivs);
-      }
-      if (image_.meta_store_ != nullptr &&
-          image_.meta_store_->JournalPressure()) {
-        VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-      }
-      co_return Status::Ok();
-    }
-  }
-  Bytes scratch(cover_bytes, 0);
-  if (head_partial || tail_partial) {
-    const size_t last = chunk.cover.block_count - 1;
-    MutByteSpan head, tail;
-    if (head_partial) head = MutByteSpan(scratch.data(), kBlockSize);
-    if (tail_partial && !(head_partial && last == 0)) {
-      tail = MutByteSpan(scratch.data() + last * kBlockSize, kBlockSize);
-    }
-    VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(chunk, head, tail));
-  }
-  GatherFrom(chunk.buf_off,
-             MutByteSpan(scratch.data() + chunk.byte_off, chunk.byte_len));
-  // Re-encrypt only the touched blocks; data + IV metadata (and the
-  // bitmap update, when bits flip) ride one atomic per-object transaction
-  // (§3.1).
-  VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(chunk.cover, scratch, txn, ivs_out));
-  auto update =
-      co_await ts.Stage(chunk.cover.object_no, written_range, {}, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  auto io = image_.io();
-  txn.trace = ctx();
-  obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-  VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid, std::move(txn),
-                                             image_.SnapContext()));
-  store_span.End();
-  ts.Commit(std::move(*update));
+  VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(chunk.cover, plain, txn, ivs_out));
+  const BlockRuns written{{chunk.cover.first_block, chunk.cover.block_count}};
+  VDE_CO_RETURN_IF_ERROR(co_await image_.CommitObjectTxn(
+      chunk.cover.oid, chunk.cover.object_no, std::move(txn), written, {},
+      ctx()));
   // Staged edge content was folded in via RmwReadEdges; interior stages
   // are overwritten outright. Either way the buffer copy is superseded.
-  wb.DropRange(chunk.cover.object_no, chunk.cover.first_block, last_block);
+  wb.DropRange(chunk.cover.object_no, chunk.cover.first_block,
+               chunk.cover.first_block + chunk.cover.block_count - 1);
   if (ivs_out != nullptr) {
     image_.iv_cache_->PutRange(chunk.cover.object_no, chunk.cover.first_block,
                                ivs);
   }
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  co_return co_await image_.MaybeFlushJournal();
 }
 
 // --- Discard / WriteZeroes ---
@@ -729,7 +595,6 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
   const Chunk& chunk = chunks_[idx];
   Writeback& wb = *image_.writeback_;
   core::EncryptionFormat& fmt = *image_.format_;
-  auto io = image_.io();
   const uint64_t start = chunk.byte_off;
   const uint64_t end = chunk.byte_off + chunk.byte_len;
   // Whole blocks inside the range, as cover-relative block indices.
@@ -749,83 +614,57 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
         SubExtent(chunk.cover, first_full, end_full - first_full);
     // A discard of the entire object drops it outright — unless snapshots
     // pin it (the clone machinery only runs on write-class data ops).
-    if (ext.first_block == 0 &&
-        ext.block_count == image_.blocks_per_object() &&
-        image_.snaps_.empty()) {
+    const bool remove = ext.first_block == 0 &&
+                        ext.block_count == image_.blocks_per_object() &&
+                        image_.snaps_.empty();
+    if (!remove) {
+      VDE_CO_RETURN_IF_ERROR(
+          co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
+      // The trimmed blocks become zero-legit: the MAC'd bitmap update rides
+      // the same atomic transaction as the trim itself.
+      objstore::Transaction txn;
+      fmt.MakeDiscard(ext, txn);
+      const BlockRuns trimmed{{ext.first_block, ext.block_count}};
+      VDE_CO_RETURN_IF_ERROR(co_await image_.CommitObjectTxn(
+          chunk.cover.oid, chunk.cover.object_no, std::move(txn), {}, trimmed,
+          ctx()));
+    } else {
       if (image_.meta_store_ != nullptr) {
         // OnRemove bumps the object's epoch; with the plane journaling
         // that generation it must be the REAL one — load the current
         // record first (a reset-to-zero epoch would let an old sealed
         // bitmap replay through the floor check).
         VDE_CO_RETURN_IF_ERROR(
-            co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-        if (image_.meta_store_->NeedsDirtyMark()) {
-          VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-        }
+            co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
       }
       objstore::Transaction txn;
       objstore::OsdOp op;
       op.type = objstore::OsdOp::Type::kRemove;
       txn.ops.push_back(std::move(op));
+      auto io = image_.io();
       txn.trace = ctx();
       obs::SpanScope store_span(ctx(), obs::Stage::kStore);
       Status s = co_await io.Operate(chunk.cover.oid, std::move(txn),
                                      image_.SnapContext());
       store_span.End();
       if (!s.ok() && !s.IsNotFound()) co_return s;
-      wb.DropRange(chunk.cover.object_no, ext.first_block,
-                   ext.first_block + ext.block_count - 1);
-      // The object (and its persisted bitmap) is gone: every block reads
-      // zeros again, and rereads can zero-fill from cleared markers.
-      image_.trim_state_->OnRemove(chunk.cover.object_no);
-      image_.iv_cache_->PutCleared(chunk.cover.object_no, 0,
-                                   image_.blocks_per_object());
-      // AFTER PutCleared: the cleared markers it spilled are the last rows
-      // this object journals, and the plane GCs them (with the sealed
-      // bitmap) at Close — only the epoch floor survives a removed object.
-      if (image_.meta_store_ != nullptr) {
-        image_.meta_store_->OnObjectRemoved(chunk.cover.object_no);
-      }
-      if (image_.meta_store_ != nullptr &&
-          image_.meta_store_->JournalPressure()) {
-        VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-      }
-      co_return Status::Ok();
     }
-    VDE_CO_RETURN_IF_ERROR(
-        co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->NeedsDirtyMark()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-    }
-    objstore::Transaction txn;
-    fmt.MakeDiscard(ext, txn);
-    // The trimmed blocks become zero-legit: the MAC'd bitmap update rides
-    // the same atomic transaction as the trim itself.
-    const std::vector<std::pair<uint64_t, size_t>> trimmed_range{
-        {ext.first_block, ext.block_count}};
-    auto update = co_await image_.trim_state_->Stage(chunk.cover.object_no,
-                                                     {}, trimmed_range, txn);
-    VDE_CO_RETURN_IF_ERROR(update.status());
-    txn.trace = ctx();
-    obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-    VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid,
-                                               std::move(txn),
-                                               image_.SnapContext()));
-    store_span.End();
-    image_.trim_state_->Commit(std::move(*update));
     // Trimmed blocks read zeros from now on; drop their staged copies so
     // a later flush cannot resurrect the data, then cache cleared markers
-    // so warmed rereads of the range never reach the store.
+    // so warmed rereads of the range never reach the store. A removed
+    // object's persisted bitmap is gone too: every block is zero-legit.
     wb.DropRange(chunk.cover.object_no, ext.first_block,
                  ext.first_block + ext.block_count - 1);
+    if (remove) image_.trim_state_->OnRemove(chunk.cover.object_no);
     image_.iv_cache_->PutCleared(chunk.cover.object_no, ext.first_block,
                                  ext.block_count);
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->JournalPressure()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
+    // AFTER PutCleared: the cleared markers it spilled are the last rows a
+    // removed object journals, and the plane GCs them (with the sealed
+    // bitmap) at Close — only the epoch floor survives a removed object.
+    if (remove && image_.meta_store_ != nullptr) {
+      image_.meta_store_->OnObjectRemoved(chunk.cover.object_no);
     }
-    co_return Status::Ok();
+    co_return co_await image_.MaybeFlushJournal();
   }
 
   // Write-zeroes: exact byte semantics. Whole blocks are cleared with kZero
@@ -839,11 +678,7 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
   }
   HoldGuard held(wb, holds_[idx]);
   VDE_CO_RETURN_IF_ERROR(
-      co_await image_.EnsureObjectState(chunk.cover.object_no, ctx()));
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-  }
+      co_await image_.PrepareMutation(chunk.cover.object_no, ctx()));
   const bool head_partial = start % kBlockSize != 0;
   const bool tail_partial = end % kBlockSize != 0;
   const size_t last = chunk.cover.block_count - 1;
@@ -853,71 +688,59 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
     tail_buf.assign(kBlockSize, 0);
   }
   objstore::Transaction txn;
-  size_t edge_blocks = 0;
-  std::vector<std::pair<uint64_t, size_t>> edge_written;
+  BlockRuns edge_written;
   core::IvRows head_ivs, tail_ivs;
-  if (!head_buf.empty() || !tail_buf.empty()) {
-    VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(
-        chunk, MutByteSpan(head_buf), MutByteSpan(tail_buf)));
-    if (!head_buf.empty()) {
-      // The head block covers cover-relative bytes [0, kBlockSize).
-      std::fill(head_buf.begin() + static_cast<long>(start),
-                head_buf.begin() +
-                    static_cast<long>(std::min<uint64_t>(end, kBlockSize)),
-                0);
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, 0, 1),
-                                           ByteSpan(head_buf), txn,
-                                           image_.IvCapture(&head_ivs)));
-      edge_written.emplace_back(chunk.cover.first_block, 1);
-      edge_blocks++;
-    }
-    if (!tail_buf.empty()) {
-      // The tail block covers [last*kBlockSize, end of cover); the zero
-      // range reaches from its start to `end`.
-      std::fill(tail_buf.begin(),
-                tail_buf.begin() +
-                    static_cast<long>(end - last * uint64_t{kBlockSize}),
-                0);
-      VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, last, 1),
-                                           ByteSpan(tail_buf), txn,
-                                           image_.IvCapture(&tail_ivs)));
-      edge_written.emplace_back(chunk.cover.first_block + last, 1);
-      edge_blocks++;
-    }
+  VDE_CO_RETURN_IF_ERROR(co_await RmwReadEdges(chunk, MutByteSpan(head_buf),
+                                               MutByteSpan(tail_buf)));
+  if (!head_buf.empty()) {
+    // The head block covers cover-relative bytes [0, kBlockSize).
+    std::fill(head_buf.begin() + static_cast<long>(start),
+              head_buf.begin() +
+                  static_cast<long>(std::min<uint64_t>(end, kBlockSize)),
+              0);
+    VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, 0, 1),
+                                         ByteSpan(head_buf), txn,
+                                         image_.IvCapture(&head_ivs)));
+    edge_written.emplace_back(chunk.cover.first_block, 1);
   }
+  if (!tail_buf.empty()) {
+    // The tail block covers [last*kBlockSize, end of cover); the zero
+    // range reaches from its start to `end`.
+    std::fill(tail_buf.begin(),
+              tail_buf.begin() +
+                  static_cast<long>(end - last * uint64_t{kBlockSize}),
+              0);
+    VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(SubExtent(chunk.cover, last, 1),
+                                         ByteSpan(tail_buf), txn,
+                                         image_.IvCapture(&tail_ivs)));
+    edge_written.emplace_back(chunk.cover.first_block + last, 1);
+  }
+  BlockRuns trimmed;
   if (first_full < end_full) {
     fmt.MakeDiscard(SubExtent(chunk.cover, first_full, end_full - first_full),
                     txn);
+    trimmed.emplace_back(chunk.cover.first_block + first_full,
+                         end_full - first_full);
   }
   // One bitmap update covers both motions — edges become live (written
   // zeros), the interior becomes zero-legit (trimmed) — and rides the same
-  // atomic transaction.
-  std::vector<std::pair<uint64_t, size_t>> trimmed_range;
-  if (first_full < end_full) {
-    trimmed_range.emplace_back(chunk.cover.first_block + first_full,
-                               end_full - first_full);
+  // atomic transaction, after the re-encrypted edges pay their cipher.
+  std::optional<Image::CpuCost> cpu;
+  if (!edge_written.empty()) {
+    const size_t edge_bytes = edge_written.size() * kBlockSize;
+    cpu = Image::CpuCost{fmt.CryptoCost(edge_bytes),
+                         fmt.CompressCost(edge_bytes)};
   }
-  auto update = co_await image_.trim_state_->Stage(
-      chunk.cover.object_no, edge_written, trimmed_range, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  if (edge_blocks > 0) {
-    co_await Image::ChargeClientCpu(ctx(), chunk.cover.oid,
-                                    fmt.CryptoCost(edge_blocks * kBlockSize),
-                                    fmt.CompressCost(edge_blocks * kBlockSize));
-  }
-  txn.trace = ctx();
-  obs::SpanScope store_span(ctx(), obs::Stage::kStore);
-  VDE_CO_RETURN_IF_ERROR(co_await io.Operate(chunk.cover.oid, std::move(txn),
-                                             image_.SnapContext()));
-  store_span.End();
-  image_.trim_state_->Commit(std::move(*update));
+  VDE_CO_RETURN_IF_ERROR(co_await image_.CommitObjectTxn(
+      chunk.cover.oid, chunk.cover.object_no, std::move(txn), edge_written,
+      trimmed, ctx(), cpu));
   // Edge stages were folded into the zeroed blocks, interior stages are
   // cleared in the store: every staged copy under the cover is superseded
   // (DropRange also invalidates the cleared blocks' cached IV rows — the
   // re-encrypted edges get their fresh rows back right after, and the
   // trimmed interior gets cleared markers).
   wb.DropRange(chunk.cover.object_no, chunk.cover.first_block,
-               chunk.cover.first_block + chunk.cover.block_count - 1);
+               chunk.cover.first_block + last);
   if (first_full < end_full) {
     image_.iv_cache_->PutCleared(chunk.cover.object_no,
                                  chunk.cover.first_block + first_full,
@@ -931,11 +754,7 @@ sim::Task<Status> ImageRequest::DiscardChunk(size_t idx) {
     image_.iv_cache_->PutRange(chunk.cover.object_no,
                                chunk.cover.first_block + last, tail_ivs);
   }
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->JournalPressure()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-  }
-  co_return Status::Ok();
+  co_return co_await image_.MaybeFlushJournal();
 }
 
 // --- Flush ---

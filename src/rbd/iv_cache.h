@@ -79,9 +79,10 @@ class IvCache {
   bool retains() const { return config_.max_objects > 0; }
 
   // Spill observer (the image's persistent metadata plane, or null): every
-  // PutRange/PutCleared — write encrypts, read populates, cleared markers
-  // — is mirrored into its write-behind journal BEFORE the retention
-  // check, so even a zero-capacity RAM cache feeds the durable plane.
+  // PutRange/PutCleared is mirrored into its write-behind journal BEFORE
+  // the retention check. With zero capacity that still spills write rows
+  // and cleared markers, but not read-populated rows: CachedExtentRead
+  // skips their PutRange when the cache does not retain.
   void set_spill(MetaStore* spill) { spill_ = spill; }
 
   // Copies the rows for blocks [first_block, first_block + count) of

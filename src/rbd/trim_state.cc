@@ -120,9 +120,7 @@ sim::Task<Status> TrimState::Ensure(uint64_t object_no) {
 }
 
 sim::Task<Result<TrimState::Update>> TrimState::Stage(
-    uint64_t object_no,
-    const std::vector<std::pair<uint64_t, size_t>>& clear,
-    const std::vector<std::pair<uint64_t, size_t>>& set,
+    uint64_t object_no, const BlockRuns& clear, const BlockRuns& set,
     objstore::Transaction& txn) {
   Update update;
   if (!enabled()) co_return update;

@@ -45,6 +45,9 @@ namespace vde::rbd {
 
 class Image;
 
+// Blocks of one object as (first_block, count) runs.
+using BlockRuns = std::vector<std::pair<uint64_t, size_t>>;
+
 struct TrimStateStats {
   uint64_t loads = 0;           // bitmap fetches issued (once per object)
   uint64_t bitmap_updates = 0;  // transactions that carried a bitmap write
@@ -109,11 +112,9 @@ class TrimState {
   // atomic transaction), and returns an ACTIVE update: the caller must
   // Commit() after the transaction applied or Abort() if it failed.
   // Requires Ensure() to have succeeded for this object.
-  sim::Task<Result<Update>> Stage(
-      uint64_t object_no,
-      const std::vector<std::pair<uint64_t, size_t>>& clear,
-      const std::vector<std::pair<uint64_t, size_t>>& set,
-      objstore::Transaction& txn);
+  sim::Task<Result<Update>> Stage(uint64_t object_no, const BlockRuns& clear,
+                                  const BlockRuns& set,
+                                  objstore::Transaction& txn);
 
   void Commit(Update&& update);
   void Abort(Update&& update);

@@ -93,39 +93,23 @@ core::ObjectExtent Writeback::BlockExtent(uint64_t object_no,
 
 sim::Task<Status> Writeback::ReadBlock(uint64_t object_no, uint64_t block,
                                        MutByteSpan out) {
-  core::EncryptionFormat& fmt = *image_.format_;
-  const core::ObjectExtent ext = BlockExtent(object_no, block);
+  const Image::ExtentRead read{BlockExtent(object_no, block), out};
   const core::DiscardBitmap* zeros = nullptr;
   if (image_.trim_state_->enabled()) {
+    // The bitmap only, not Image::EnsureObjectState: a stage-creation read
+    // warms no IV rows off the metadata plane (see image.h).
     VDE_CO_RETURN_IF_ERROR(co_await image_.trim_state_->Ensure(object_no));
     zeros = image_.trim_state_->Lookup(object_no);
   }
-  objstore::Transaction txn;
+  image_.stats_.rmw_blocks++;
   // Single-block RMW read: the IV-cache sweet spot — every layout profits
   // from skipping the metadata fetch here, including the interleaved one
   // (and a resident cleared marker skips the store outright).
-  CachedExtentRead plan(image_.iv_cache_.get(), fmt, ext, zeros);
-  plan.AppendOps(txn);
-  image_.stats_.rmw_blocks++;
-  if (plan.zero_fill()) {
-    VDE_CO_RETURN_IF_ERROR(plan.Finish(objstore::ReadResult{}, out));
-    co_return Status::Ok();
-  }
-  auto io = image_.io();
-  auto got = co_await io.OperateRead(ext.oid, std::move(txn),
-                                     objstore::kHeadSnap);
-  if (got.status().IsNotFound()) {
-    std::fill(out.begin(), out.end(), 0);  // never-written: reads zeros
-    co_return Status::Ok();
-  }
-  if (!got.ok()) co_return got.status();
-  const uint64_t expanded_before = fmt.compress_stats().decompressed_blocks;
-  VDE_CO_RETURN_IF_ERROR(plan.Finish(*got, out));
-  const bool expanded =
-      fmt.compress_stats().decompressed_blocks > expanded_before;
-  co_await Image::ChargeClientCpu(nullptr, ext.oid, fmt.CryptoCost(kBlockSize),
-                                  expanded ? fmt.DecompressCost(kBlockSize)
-                                           : 0);
+  auto work = co_await image_.ReadExtents(read.ext.oid, {&read, 1},
+                                          image_.iv_cache_.get(), zeros,
+                                          objstore::kHeadSnap, nullptr);
+  VDE_CO_RETURN_IF_ERROR(work.status());
+  co_await image_.ChargeRead(nullptr, read.ext.oid, *work);
   co_return Status::Ok();
 }
 
@@ -253,44 +237,24 @@ void Writeback::MaybePrune(uint64_t object_no) {
 sim::Task<Status> Writeback::WriteOutStage(uint64_t object_no, uint64_t block,
                                            const Stage& stage) {
   core::EncryptionFormat& fmt = *image_.format_;
-  VDE_CO_RETURN_IF_ERROR(co_await image_.EnsureObjectState(object_no));
-  // Stage flushes are store mutations too: clear the plane's clean flag
-  // before the first one of the session commits.
-  if (image_.meta_store_ != nullptr &&
-      image_.meta_store_->NeedsDirtyMark()) {
-    VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->MarkDirty());
-  }
+  VDE_CO_RETURN_IF_ERROR(co_await image_.PrepareMutation(object_no, nullptr));
+  const core::ObjectExtent ext = BlockExtent(object_no, block);
   objstore::Transaction txn;
   core::IvRows ivs;
   core::IvRows* const ivs_out = image_.IvCapture(&ivs);
-  VDE_CO_RETURN_IF_ERROR(
-      fmt.MakeWrite(BlockExtent(object_no, block), stage.data, txn, ivs_out));
+  VDE_CO_RETURN_IF_ERROR(fmt.MakeWrite(ext, stage.data, txn, ivs_out));
   // First flush of a fresh or trimmed block flips its zero-legit bit: the
   // MAC'd bitmap update rides the same transaction.
-  const std::vector<std::pair<uint64_t, size_t>> written_range{{block, 1}};
-  auto update =
-      co_await image_.trim_state_->Stage(object_no, written_range, {}, txn);
-  VDE_CO_RETURN_IF_ERROR(update.status());
-  const std::string oid = image_.ObjectName(object_no);
-  co_await Image::ChargeClientCpu(nullptr, oid, fmt.CryptoCost(kBlockSize),
-                                  fmt.CompressCost(kBlockSize));
-  auto io = image_.io();
-  Status applied =
-      co_await io.Operate(oid, std::move(txn), image_.SnapContext());
+  const BlockRuns written{{block, 1}};
+  const Image::CpuCost cpu{fmt.CryptoCost(kBlockSize),
+                           fmt.CompressCost(kBlockSize)};
+  VDE_CO_RETURN_IF_ERROR(co_await image_.CommitObjectTxn(
+      ext.oid, object_no, std::move(txn), written, {}, nullptr, cpu));
   // Flush and snapshot drains funnel through here: the freshly persisted
   // IV replaces the stale cached row in the same breath, so a barrier
   // never leaves a row pointing at overwritten ciphertext.
-  if (applied.ok()) {
-    image_.trim_state_->Commit(std::move(*update));
-    if (ivs_out != nullptr) {
-      image_.iv_cache_->PutRange(object_no, block, ivs);
-    }
-    if (image_.meta_store_ != nullptr &&
-        image_.meta_store_->JournalPressure()) {
-      VDE_CO_RETURN_IF_ERROR(co_await image_.meta_store_->FlushJournal());
-    }
-  }
-  co_return applied;
+  if (ivs_out != nullptr) image_.iv_cache_->PutRange(object_no, block, ivs);
+  co_return co_await image_.MaybeFlushJournal();
 }
 
 sim::Task<Status> Writeback::FlushLocked(uint64_t object_no, uint64_t block) {
